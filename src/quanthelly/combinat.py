@@ -37,12 +37,30 @@ from .measures import (
 )
 
 CC_PIVOT_CAP = 10_000
-CC_EXHAUSTIVE_BUDGET = 10**6
-SUBSET_BUDGET = 10**6
+SCAN_BUDGET = 10**6  # subsets or combinations searched exhaustively
+SCAN_SAMPLES = 2000  # seeded samples tested beyond the budget
+HULL_BUDGET = 20_000  # subfamily hulls intersected by a Tverberg step
 
 
 class CombinatError(ValueError):
     pass
+
+
+def scan_subsets(n: int, k: int, test):
+    """(first k-subset of range(n) passing test, or None; whether the scan
+    was exhaustive).
+
+    Every subset is tried in lexicographic order when C(n, k) <= SCAN_BUDGET;
+    otherwise SCAN_SAMPLES sorted samples drawn from Random(0).
+    """
+    if math.comb(n, k) <= SCAN_BUDGET:
+        return next(filter(test, itertools.combinations(range(n), k)), None), True
+    rng = random.Random(0)
+    for _ in range(SCAN_SAMPLES):
+        combo = tuple(sorted(rng.sample(range(n), k)))
+        if test(combo):
+            return combo, False
+    return None, False
 
 
 @dataclass(frozen=True)
@@ -132,7 +150,7 @@ def _covers_all(targets, pts) -> bool:
     return all(contains(hull, t) for t in targets)
 
 
-def colorful_caratheodory(targets, classes, *, max_pivots: int = CC_PIVOT_CAP):
+def colorful_caratheodory(targets, classes):
     """One point per class so that their hull contains every target.
 
     Each class hull must contain all targets (checked exactly).  A single
@@ -160,7 +178,7 @@ def colorful_caratheodory(targets, classes, *, max_pivots: int = CC_PIVOT_CAP):
 
     chosen = [cls[0] for cls in classes]
     steps = 0
-    while steps < max_pivots:
+    while steps < CC_PIVOT_CAP:
         steps += 1
         t = next((t for t in targets if not _covers_all([t], chosen)), None)
         if t is None:
@@ -193,7 +211,7 @@ def _cc_exhaustive(targets, classes):
     total = 1
     for cls in classes:
         total *= len(cls)
-        if total > CC_EXHAUSTIVE_BUDGET:
+        if total > SCAN_BUDGET:
             raise CombinatError(
                 f"exhaustive rainbow search over {total}+ combinations exceeds budget"
             )
@@ -203,7 +221,7 @@ def _cc_exhaustive(targets, classes):
     raise CombinatError("no rainbow choice covers the targets (hypothesis violated?)")
 
 
-def caratheodory_subset(targets, pts, *, budget: int = SUBSET_BUDGET):
+def caratheodory_subset(targets, pts):
     """Smallest-cardinality subset of pts (lex-first among minimum) covering targets.
 
     Searches subset sizes 1..max(d*k, d+1) over the hull vertices of pts,
@@ -219,7 +237,7 @@ def caratheodory_subset(targets, pts, *, budget: int = SUBSET_BUDGET):
     base = sorted(set(hull_verts))
     for size in range(1, cap + 1):
         count = math.comb(len(base), size)
-        if count > budget:
+        if count > SCAN_BUDGET:
             raise CombinatError(
                 f"subset search C({len(base)},{size}) = {count} exceeds budget"
             )
@@ -244,7 +262,6 @@ class TverbergResult:
 class TverbergConfig:
     h: int | None = None  # family-size parameter of the intersection step
     c: int | None = None  # vertex budget of the inscribed step
-    subset_budget: int = 20_000
 
     def resolved(self, msr: Measure, dim: int, eps2, lam) -> tuple:
         h = self.h
@@ -386,7 +403,7 @@ def _tverberg_measure(T, m, msr, eps1, eps2, config) -> TverbergResult:
         raise CombinatError(f"need {need} members for m={m}, h={h}, c={c}; got {n}")
     drop = (m - 1) * d * c
     count = math.comb(n, drop)
-    if count > config.subset_budget:
+    if count > HULL_BUDGET:
         raise CombinatError(
             f"intersection step needs C({n},{drop}) = {count} hulls, over budget"
         )
@@ -471,9 +488,6 @@ def selection(
     msr: Measure,
     eps=Fraction(1, 8),
     m_parts: int | None = None,
-    config: TverbergConfig = TverbergConfig(),
-    *,
-    tuple_budget: int = SUBSET_BUDGET,
 ) -> SelectionResult:
     """A single large witness inside many r-tuple union-hulls.
 
@@ -486,7 +500,7 @@ def selection(
     n = len(T)
     d = T.dim
     lam = _family_floor(T, msr)
-    h, c = config.resolved(msr, d, eps / 2, lam)
+    h, c = TverbergConfig().resolved(msr, d, eps / 2, lam)
     r = max(d * c, d + 1)
     if n < r:
         raise CombinatError(f"need at least r={r} members, got {n}")
@@ -494,7 +508,7 @@ def selection(
     if m_parts is None:
         m_parts = (n - 1) // t_param + 1 if msr.kind != "nonempty" else (n - 1) // (d + 1) + 1
         m_parts = max(m_parts, 1)
-    tv = tverberg_partition(T, m_parts, msr, eps / 2, eps / 2, config)
+    tv = tverberg_partition(T, m_parts, msr, eps / 2, eps / 2)
     witness = tv.witness
 
     found = set()
@@ -517,7 +531,7 @@ def selection(
             if len(set(members)) == r:
                 found.add(tuple(sorted(members)))
 
-    exhaustive = math.comb(n, r) <= tuple_budget
+    exhaustive = math.comb(n, r) <= SCAN_BUDGET
     if exhaustive:
         for combo in itertools.combinations(range(n), r):
             if combo in found:
@@ -558,15 +572,7 @@ class UncoveredSearch:
     exhaustive: bool
 
 
-def find_uncovered_subset(
-    T: Family,
-    net,
-    eps_prime,
-    *,
-    budget: int = SUBSET_BUDGET,
-    samples: int = 2000,
-    rng: random.Random | None = None,
-) -> UncoveredSearch:
+def find_uncovered_subset(T: Family, net, eps_prime) -> UncoveredSearch:
     """A subset of size ceil(eps' |T|) whose union-hull misses every net element."""
     eps_prime = Fraction(eps_prime)
     n = len(T)
@@ -574,24 +580,12 @@ def find_uncovered_subset(
     net = list(net)
     if not net:
         return UncoveredSearch(tuple(range(n)), True)
-    if k > n:
-        return UncoveredSearch(None, True)
 
     def uncovered(indices) -> bool:
         hull = T.union_hull(indices)
         return not any(body_contains_body(hull, e) for e in net)
 
-    if math.comb(n, k) <= budget:
-        for combo in itertools.combinations(range(n), k):
-            if uncovered(combo):
-                return UncoveredSearch(combo, True)
-        return UncoveredSearch(None, True)
-    rng = rng or random.Random(0)
-    for _ in range(samples):
-        combo = tuple(sorted(rng.sample(range(n), k)))
-        if uncovered(combo):
-            return UncoveredSearch(combo, False)
-    return UncoveredSearch(None, False)
+    return UncoveredSearch(*scan_subsets(n, k, uncovered))
 
 
 def weak_net(
@@ -599,10 +593,6 @@ def weak_net(
     msr: Measure,
     eps=Fraction(1, 8),
     eps_prime=Fraction(1, 2),
-    config: TverbergConfig = TverbergConfig(),
-    *,
-    budget: int = SUBSET_BUDGET,
-    rng: random.Random | None = None,
 ) -> NetResult:
     """Greedy net: repeatedly find an uncovered large subset, add its witness."""
     eps = Fraction(eps)
@@ -617,13 +607,13 @@ def weak_net(
     cap = None
     last_search = None
     while True:
-        last_search = find_uncovered_subset(T, net, eps_prime, budget=budget, rng=rng)
+        last_search = find_uncovered_subset(T, net, eps_prime)
         if last_search.subset is None:
             break
         sub_family = Family(
             tuple(T.members[i] for i in last_search.subset),
         )
-        sel = selection(sub_family, msr, eps, config=config)
+        sel = selection(sub_family, msr, eps)
         net.append(sel.witness)
         achieved.append(evaluate(msr, sel.witness))
         iterations += 1

@@ -38,12 +38,14 @@ from .measures import (
     Measure,
     MeasureError,
     MeasureValue,
+    certified_ge,
     evaluate,
     lattice_points,
     one_minus_ratio,
 )
 
 MAX_BISECT = 512
+MAX_DOUBLINGS = 512
 
 
 # -- direction sets ----------------------------------------------------------
@@ -172,20 +174,16 @@ def minimal_v_halfspace(
     lo = -support(K, tuple(-c for c in v))
     hi = support(K, v)
 
-    def certified_ge(c) -> bool:
-        cut = clip(K, Halfspace.make(v, c))
-        msr = m
-        for _ in range(12):
-            got = evaluate(msr, cut).ge(target)
-            if got is not None:
-                return got
-            msr = msr.with_tol(msr.tol / 2**8)
-        raise MeasureError("cut measure cannot be separated from the target")
+    def cut_reaches(c) -> bool:
+        got = certified_ge(m, clip(K, Halfspace.make(v, c)), target)
+        if got is None:
+            raise MeasureError("cut measure cannot be separated from the target")
+        return got
 
-    if certified_ge(lo):
+    if cut_reaches(lo):
         return Halfspace.make(v, lo)
     a, b = lo, hi
-    if not certified_ge(b):
+    if not cut_reaches(b):
         raise MeasureError("the whole body does not reach the target")
     span = hi - lo
     steps = 0
@@ -194,7 +192,7 @@ def minimal_v_halfspace(
         if steps > MAX_BISECT:
             break
         mid = (a + b) / 2
-        if certified_ge(mid):
+        if cut_reaches(mid):
             b = mid
         else:
             a = mid
@@ -216,8 +214,6 @@ def floating_body(
     m: Measure,
     eps,
     D,
-    *,
-    tol: Fraction = DEFAULT_TOL,
 ) -> FloatingBodyResult:
     """Intersect per-direction minimal cuts at target (1 - eps) f(K)."""
     eps = Fraction(eps)
@@ -229,7 +225,7 @@ def floating_body(
         raise MeasureError("floating bodies need finite positive measure")
     target = (1 - eps) * total.hi
     cuts = tuple(
-        (v, minimal_v_halfspace(K, v, m, target, tol=tol)) for v in dirs
+        (v, minimal_v_halfspace(K, v, m, target)) for v in dirs
     )
     inner = K
     for _, h in cuts:
@@ -239,8 +235,7 @@ def floating_body(
     return FloatingBodyResult(body=inner, delta=delta, cuts=cuts)
 
 
-def check_separation(K: ConvexBody, m: Measure, eps, D, A: ConvexBody, *,
-                     max_refine: int = 12) -> bool:
+def check_separation(K: ConvexBody, m: Measure, eps, D, A: ConvexBody) -> bool:
     """Whether f(A cut K) >= (1 - eps) f(K) implies the floating body sits in A.
 
     Vacuously true when the hypothesis fails; an interval that cannot be
@@ -252,15 +247,7 @@ def check_separation(K: ConvexBody, m: Measure, eps, D, A: ConvexBody, *,
     if total.is_infinite:
         raise MeasureError("separation checks need finite measure")
     bar = (1 - eps) * total.hi
-    piece = intersect([A, K])
-    msr = m
-    hyp = None
-    for _ in range(max_refine):
-        hyp = evaluate(msr, piece).ge(bar)
-        if hyp is not None:
-            break
-        msr = msr.with_tol(msr.tol / 2**8)
-    if hyp is False:
+    if certified_ge(m, intersect([A, K]), bar) is False:
         return True
     fb = floating_body(K, m, eps, D)
     return body_contains_body(A, fb.body)
@@ -269,7 +256,7 @@ def check_separation(K: ConvexBody, m: Measure, eps, D, A: ConvexBody, *,
 # -- generic directions ------------------------------------------------------
 
 
-def generic_direction(base, points, *, max_doublings: int = 512):
+def generic_direction(base, points):
     """A primitive direction near base whose projections separate all points.
 
     Tries base * 2^k + rot90(base) with growing k; each candidate is verified
@@ -280,7 +267,7 @@ def generic_direction(base, points, *, max_doublings: int = 512):
         raise GeometryError("generic directions are 2D")
     pts = [tuple(Fraction(c) for c in p) for p in points]
     side = rot90(base)
-    for k in range(max_doublings):
+    for k in range(MAX_DOUBLINGS):
         cand = primitive_vector(tuple((b << k) + s for b, s in zip(base, side)))
         vals = [dot(cand, p) for p in pts]
         if len(set(vals)) == len(vals):

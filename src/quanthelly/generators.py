@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,6 +83,19 @@ def generate(spec: GeneratorSpec) -> Family:
 
 def _box(x0, y0, x1, y1) -> ConvexBody:
     return ConvexBody.from_points([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+def _boxes_meet_lattice(boxes) -> bool:
+    """Whether the axis-parallel boxes (x0, y0, x1, y1) share a point of Z^2.
+
+    Their intersection is the box of the innermost sides, which holds an
+    integer point iff each of its two sides holds an integer.
+    """
+    x0 = max(b[0] for b in boxes)
+    y0 = max(b[1] for b in boxes)
+    x1 = min(b[2] for b in boxes)
+    y1 = min(b[3] for b in boxes)
+    return math.ceil(x0) <= math.floor(x1) and math.ceil(y0) <= math.floor(y1)
 
 
 # -- point clouds and polygons -------------------------------------------------
@@ -307,19 +321,18 @@ def _gen_lattice_family(rng: random.Random, p) -> Family:
     n = int(p.get("n", 6))
     span = int(p.get("span", 5))
     tries = int(p.get("tries", 500))
-    msr = Measure.lattice()
     for _ in range(tries):
-        members = []
+        boxes = []
         for _ in range(n):
             x0 = Fraction(rng.randint(0, 4 * span), 4)
             y0 = Fraction(rng.randint(0, 4 * span), 4)
             w = Fraction(rng.randint(8, 16), 4)
             h = Fraction(rng.randint(8, 16), 4)
-            members.append(_box(x0, y0, x0 + w, y0 + h))
+            boxes.append((x0, y0, x0 + w, y0 + h))
         ok = all(
-            evaluate(msr, intersect([members[i] for i in A])).ge(1) is True
+            _boxes_meet_lattice([boxes[i] for i in A])
             for A in itertools.combinations(range(n), min(4, n))
         )
         if ok:
-            return Family(tuple(members))
+            return Family(tuple(_box(*b) for b in boxes))
     raise GeneratorError("no 4-wise-lattice family found within the retry budget")

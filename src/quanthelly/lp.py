@@ -3,7 +3,8 @@
 Two-phase primal simplex on a dense Fraction tableau with Bland's rule,
 so termination is guaranteed and every returned solution carries an
 exact optimality certificate (primal feasibility, dual feasibility and
-complementary slackness are asserted before returning).
+complementary slackness are checked before returning; a failed check is
+raised as LPError, also under python -O).
 
 Problems are stated as
 
@@ -239,34 +240,38 @@ def _verify(c, rows, senses, rhs, sol):
     x = sol.x
     y = sol.duals
     n = len(c)
-    assert len(x) == n
+    if len(x) != n:
+        raise LPError("solution length")
     # primal feasibility
     for row, s, b in zip(rows, senses, rhs):
         lhs = sum((a * v for a, v in zip(row, x)), ZERO)
         if s == "<=":
-            assert lhs <= b, "primal infeasible"
+            feasible = lhs <= b
         elif s == ">=":
-            assert lhs >= b, "primal infeasible"
+            feasible = lhs >= b
         else:
-            assert lhs == b, "primal infeasible"
+            feasible = lhs == b
+        if not feasible:
+            raise LPError("primal infeasible")
     # dual feasibility: sign constraints and A^T y <= c on x >= 0
     for yi, s in zip(y, senses):
-        if s == "<=":
-            assert yi <= 0, "dual sign"
-        elif s == ">=":
-            assert yi >= 0, "dual sign"
+        if (s == "<=" and yi > 0) or (s == ">=" and yi < 0):
+            raise LPError("dual sign")
     for j in range(n):
         col = sum((y[i] * rows[i][j] for i in range(len(rows))), ZERO)
         slack = c[j] - col
-        assert slack >= 0, "dual infeasible"
+        if slack < 0:
+            raise LPError("dual infeasible")
         # complementary slackness on variables
-        assert slack == 0 or x[j] == 0, "complementary slackness (variable)"
+        if slack != 0 and x[j] != 0:
+            raise LPError("complementary slackness (variable)")
     # complementary slackness on rows
     for i, (row, s, b) in enumerate(zip(rows, senses, rhs)):
         lhs = sum((a * v for a, v in zip(row, x)), ZERO)
-        if lhs != b:
-            assert y[i] == 0, "complementary slackness (row)"
+        if lhs != b and y[i] != 0:
+            raise LPError("complementary slackness (row)")
     # strong duality
-    assert sum((c[j] * x[j] for j in range(n)), ZERO) == sum(
+    if sum((c[j] * x[j] for j in range(n)), ZERO) != sum(
         (y[i] * rhs[i] for i in range(len(rows))), ZERO
-    ), "objective gap"
+    ):
+        raise LPError("objective gap")

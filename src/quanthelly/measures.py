@@ -36,6 +36,7 @@ from .geometry import (
 
 DEFAULT_TOL = Fraction(1, 2**40)
 ENUM_BUDGET = 4_000_000
+REFINE_ROUNDS = 12
 
 
 class MeasureError(ValueError):
@@ -97,18 +98,6 @@ class MeasureValue:
             return False
         return None
 
-    def gt(self, bar) -> bool | None:
-        if self.is_infinite:
-            return True
-        if self.lo > bar:
-            return True
-        if self.hi <= bar:
-            return False
-        return None
-
-    def width(self):
-        return INF if self.is_infinite else self.hi - self.lo
-
     def __eq__(self, other):
         if isinstance(other, MeasureValue):
             return self.lo == other.lo and self.hi == other.hi
@@ -139,20 +128,6 @@ def one_minus_ratio(part: MeasureValue, whole: MeasureValue) -> MeasureValue:
     lo = 1 - part.hi / whole.lo
     hi = 1 - part.lo / whole.hi
     return MeasureValue(min(lo, hi), max(lo, hi))
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """A bar lam with the comparison mode applied to interval values."""
-
-    lam: Fraction
-    mode: str = "certified"  # certified: lo >= lam; optimistic: hi >= lam
-
-    def satisfied_by(self, value: MeasureValue) -> bool:
-        if value.is_infinite:
-            return True
-        side = value.lo if self.mode == "certified" else value.hi
-        return side >= self.lam
 
 
 @dataclass(frozen=True)
@@ -449,6 +424,21 @@ def _perimeter(body: ConvexBody, tol: Fraction) -> MeasureValue:
     return MeasureValue.interval(lo_sum, hi_sum)
 
 
+def certified_ge(measure: Measure, body: ConvexBody, bar) -> bool | None:
+    """Certified f(body) >= bar, refining interval measures as needed.
+
+    Each of REFINE_ROUNDS rounds divides the tolerance by 2^8; None when the
+    interval still straddles the bar after the last one.
+    """
+    m = measure
+    for _ in range(REFINE_ROUNDS):
+        got = evaluate(m, body).ge(bar)
+        if got is not None:
+            return got
+        m = m.with_tol(m.tol / 2**8)
+    return None
+
+
 def lattice_points(body: ConvexBody, measure: Measure):
     """All points of S inside a bounded body, sorted lexicographically."""
     if measure.kind != "lattice":
@@ -651,8 +641,10 @@ def inscribed_polytope(
     chosen = _greedy_seed(verts)
     while True:
         P = ConvexBody.from_points([verts[i] for i in sorted(chosen)])
-        val = _eval_refining(measure, P, target_bar)
-        if val is True:
+        val = certified_ge(measure, P, target_bar)
+        if val is None:
+            raise MeasureError("cannot separate measure value from target at available precision")
+        if val:
             return P
         if len(chosen) >= budget:
             achieved = evaluate(measure, P)
@@ -710,15 +702,3 @@ def _insertion_gain(measure, verts, chosen_sorted, i):
     lb = sqrt_interval(dot(b, b), measure.tol)[0]
     lc = sqrt_interval(dot(c, c), measure.tol)[1]
     return la + lb - lc
-
-
-def _eval_refining(measure, P, bar, max_refine=8):
-    """True once f(P) >= bar is certified, False if certified below."""
-    m = measure
-    for _ in range(max_refine):
-        val = evaluate(m, P)
-        cmp = val.ge(bar)
-        if cmp is not None:
-            return cmp
-        m = m.with_tol(m.tol / 2**8)
-    raise MeasureError("cannot separate measure value from target at available precision")

@@ -20,7 +20,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinat import CombinatError, Family, TverbergConfig, selection, weak_net
+from .combinat import (
+    SCAN_BUDGET,
+    SCAN_SAMPLES,
+    CombinatError,
+    Family,
+    scan_subsets,
+    selection,
+    weak_net,
+)
 from .floating import DirectionSet, floating_body, minimal_v_halfspace, perturbed_directions
 from .geometry import (
     ConvexBody,
@@ -33,12 +41,12 @@ from .geometry import (
     support,
 )
 from .lp import LPSolution, solve
-from .measures import Measure, MeasureError, evaluate, lattice_points
+from .measures import Measure, MeasureError, certified_ge, evaluate, lattice_points
 
 MAX_FAMILY = 64
 MAX_POOL = 4096
-SCAN_BUDGET = 10**6
 DENOM_CAP = 2**16
+GAMMA = Fraction(1, 2)  # share of eps spent on the pool shrink
 REPLICA_CAP = 512
 
 
@@ -56,19 +64,6 @@ class HypothesisError(PiercingError):
 
 class PoolError(PiercingError):
     """The candidate pool or its budgets cannot support the run (exit code 3)."""
-
-
-def _certified_ge(msr: Measure, body: ConvexBody, bar, *, rounds: int = 12):
-    """True/False certified comparison, refining interval measures as needed."""
-    if body.is_empty:
-        return Fraction(bar) <= 0
-    m = msr
-    for _ in range(rounds):
-        got = evaluate(m, body).ge(bar)
-        if got is not None:
-            return got
-        m = m.with_tol(m.tol / 2**8)
-    return None
 
 
 def _shrink_body(body: ConvexBody, msr: Measure, eps, extra_dirs=()):
@@ -91,10 +86,14 @@ def _shrink_body(body: ConvexBody, msr: Measure, eps, extra_dirs=()):
     for v in extra_dirs:
         dirs.append(primitive_vector(v))
         dirs.append(tuple(-c for c in primitive_vector(v)))
-    D = DirectionSet.custom(dirs)
+    return _float_over(body, msr, eps, DirectionSet.custom(dirs)), True
+
+
+def _float_over(body: ConvexBody, msr: Measure, eps, D) -> ConvexBody:
+    """Floating body over D, with directions made generic for lattice points."""
     if msr.kind == "lattice":
         D = perturbed_directions(D, lattice_points(body, msr))
-    return floating_body(body, msr, eps, D).body, True
+    return floating_body(body, msr, eps, D).body
 
 
 # -- candidate pool -----------------------------------------------------------
@@ -110,9 +109,6 @@ class CandidatePool:
 
     def __len__(self):
         return len(self.candidates)
-
-    def containing(self, ci: int):
-        return tuple(fi for fi, inside in enumerate(self.matrix[ci]) if inside)
 
     def covering(self, fi: int):
         return tuple(ci for ci in range(len(self.candidates)) if self.matrix[ci][fi])
@@ -145,7 +141,7 @@ def build_pool(
             body = intersect([F.members[i] for i in A])
             if body.is_empty:
                 continue
-            if _certified_ge(msr, body, lam) is not True:
+            if certified_ge(msr, body, lam) is not True:
                 continue
             entries = [(body, False, lam)]
             shrunk, applied = _shrink_body(body, msr, eps)
@@ -239,10 +235,6 @@ def check_pq(
     q: int,
     msr: Measure,
     lam,
-    *,
-    budget: int = SCAN_BUDGET,
-    samples: int = 2000,
-    rng: random.Random | None = None,
 ) -> PQCheck:
     """Every p members must include q whose intersection measures >= lam."""
     lam = Fraction(lam)
@@ -258,23 +250,14 @@ def check_pq(
         key = frozenset(sub)
         if key not in q_cache:
             body = intersect([F.members[i] for i in sub])
-            q_cache[key] = _certified_ge(msr, body, lam) is True
+            q_cache[key] = certified_ge(msr, body, lam) is True
         return q_cache[key]
 
-    def p_ok(psub) -> bool:
-        return any(q_ok(qsub) for qsub in itertools.combinations(psub, q))
+    def p_fails(psub) -> bool:
+        return not any(q_ok(qsub) for qsub in itertools.combinations(psub, q))
 
-    if math.comb(n, p) <= budget:
-        for psub in itertools.combinations(range(n), p):
-            if not p_ok(psub):
-                return PQCheck(False, psub, True)
-        return PQCheck(True, None, True)
-    rng = rng or random.Random(0)
-    for _ in range(samples):
-        psub = tuple(sorted(rng.sample(range(n), p)))
-        if not p_ok(psub):
-            return PQCheck(False, psub, False)
-    return PQCheck(True, None, False)
+    violator, exhaustive = scan_subsets(n, p, p_fails)
+    return PQCheck(violator is None, violator, exhaustive)
 
 
 # -- replication and rounding ---------------------------------------------------
@@ -295,7 +278,6 @@ def replicate_and_round(
     msr: Measure,
     lam,
     eps,
-    config: TverbergConfig = TverbergConfig(),
 ) -> PiercingCertificate:
     """Turn fractional transversal weights into an integral witness set.
 
@@ -341,16 +323,19 @@ def replicate_and_round(
         {"integral": False, "M": M, "copies": total, "tau_rounded": tau_rounded}
     )
 
-    if total == M:  # rounded optimum 1: every positive-weight candidate fits all
-        sel = selection(Family(tuple(copies)), msr, eps, config=config)
-        witnesses = [sel.witness]
-        transcript["net_iterations"] = 1
-        return _assemble(F, msr, witnesses, transcript)
-
-    eps_prime = Fraction(M, total)
-    net = weak_net(Family(tuple(copies)), msr, eps, eps_prime, config)
-    transcript.update({"eps_prime": eps_prime, "net_iterations": net.iterations})
-    return _assemble(F, msr, list(net.net), transcript)
+    replicas = Family(tuple(copies))
+    try:
+        if total == M:  # rounded optimum 1: every positive-weight candidate fits all
+            witnesses = [selection(replicas, msr, eps).witness]
+            transcript["net_iterations"] = 1
+        else:
+            eps_prime = Fraction(M, total)
+            net = weak_net(replicas, msr, eps, eps_prime)
+            witnesses = list(net.net)
+            transcript.update({"eps_prime": eps_prime, "net_iterations": net.iterations})
+    except CombinatError as e:
+        raise PoolError(f"cannot round tau* = {sol.objective}: {e}") from e
+    return _assemble(F, msr, witnesses, transcript)
 
 
 def _assemble(F: Family, msr: Measure, witnesses, transcript) -> PiercingCertificate:
@@ -386,22 +371,17 @@ def pq_pierce(
     lam,
     eps,
     s_max: int | None = None,
-    *,
-    gamma=Fraction(1, 2),
-    config: TverbergConfig = TverbergConfig(),
 ) -> PiercingCertificate:
     """End-to-end piercing: hypothesis check, pool, exact LP duality, rounding.
 
-    Thresholds split as lam and shrink level gamma*eps so the final witnesses
-    certify measure >= (1 - eps) * lam; gamma <= 1/2 keeps the split sound.
+    Thresholds split as lam and shrink level gamma*eps with gamma fixed at
+    1/2 (recorded in the transcript), so the final witnesses certify measure
+    >= (1 - eps) * lam.
     """
     lam = Fraction(lam)
     eps = Fraction(eps)
-    gamma = Fraction(gamma)
     if not 0 <= eps < 1:
         raise PiercingError("eps must lie in [0, 1)")
-    if not 0 < gamma <= Fraction(1, 2):
-        raise PiercingError("gamma must lie in (0, 1/2]")
     pq = check_pq(F, p, q, msr, lam)
     if not pq.holds:
         raise HypothesisError(
@@ -411,7 +391,7 @@ def pq_pierce(
         h_default = F.dim + 1 if msr.kind == "nonempty" else 2 * F.dim
         s_max = max(q, h_default)
         s_max = min(s_max, len(F))
-    shrink = gamma * eps
+    shrink = GAMMA * eps
     pool = build_pool(F, msr, lam, shrink, s_max)
     tau = fractional_transversal(F, pool)
     nu = fractional_packing(F, pool)
@@ -419,10 +399,10 @@ def pq_pierce(
         raise PiercingError(
             f"duality broke: tau* = {tau.objective} != nu* = {nu.objective}"
         )
-    cert = replicate_and_round(F, pool, tau, msr, lam, shrink, config)
+    cert = replicate_and_round(F, pool, tau, msr, lam, shrink)
     floor_ = (1 - eps) * lam
     for wi, w in enumerate(cert.witnesses):
-        if _certified_ge(msr, w, floor_) is not True:
+        if certified_ge(msr, w, floor_) is not True:
             raise PoolError(
                 f"witness {wi} cannot certify measure >= {floor_}; "
                 "raise s_max or refine the shrink directions"
@@ -434,7 +414,7 @@ def pq_pierce(
             "q": q,
             "lam": lam,
             "eps": eps,
-            "gamma": gamma,
+            "gamma": GAMMA,
             "s_max": s_max,
             "pool_size": len(pool),
             "nu_star": nu.objective,
@@ -465,21 +445,9 @@ def _directional_cut(body: ConvexBody, v, msr: Measure, lam):
 
 def _witness_from_cut(kb: ConvexBody, msr: Measure, eps, v):
     """Shrink the cut body to the final witness at level eps."""
-    eps = Fraction(eps)
     if msr.kind == "nonempty":
-        verts = sorted(kb.vertices)
-        return ConvexBody.from_points([verts[0]])
-    if eps == 0:
-        if msr.kind == "lattice":
-            return convex_hull(lattice_points(kb, msr))
-        return kb
-    base = list(DirectionSet.axis_diag(kb.dim))
-    base.append(primitive_vector(v))
-    base.append(tuple(-c for c in primitive_vector(v)))
-    D = DirectionSet.custom(base)
-    if msr.kind == "lattice":
-        D = perturbed_directions(D, lattice_points(kb, msr))
-    return floating_body(kb, msr, eps, D).body
+        return ConvexBody.from_points([min(kb.vertices)])
+    return _shrink_body(kb, msr, eps, (v,))[0]
 
 
 @dataclass(frozen=True)
@@ -511,7 +479,7 @@ def fractional_helly_witness(
     qualifying = []
     for A in itertools.combinations(range(n), h):
         body = intersect([F.members[i] for i in A])
-        if _certified_ge(msr, body, lam) is True:
+        if certified_ge(msr, body, lam) is True:
             qualifying.append(A)
     if not qualifying:
         raise HypothesisError("no h-tuple reaches the measure threshold")
@@ -596,11 +564,11 @@ def colorful_helly(classes, msr: Measure, lam, eps, v) -> ColorfulHellyResult:
     choices = (
         itertools.product(*[range(s) for s in sizes])
         if exhaustive
-        else _sampled_products(sizes, 2000)
+        else _sampled_products(sizes)
     )
     for choice in choices:
         body = intersect([classes[i].members[j] for i, j in enumerate(choice)])
-        if _certified_ge(msr, body, lam) is not True:
+        if certified_ge(msr, body, lam) is not True:
             raise HypothesisError(
                 f"colorful choice {choice} misses the threshold", choice
             )
@@ -635,10 +603,7 @@ def colorful_helly(classes, msr: Measure, lam, eps, v) -> ColorfulHellyResult:
         if extra is None:
             cand = _witness_from_cut(kb, msr, eps, v)
         else:
-            D = extra
-            if msr.kind == "lattice":
-                D = perturbed_directions(D, lattice_points(kb, msr))
-            cand = floating_body(kb, msr, eps, D).body
+            cand = _float_over(kb, msr, eps, extra)
         if body_contains_body(target, cand):
             witness = cand
             break
@@ -655,9 +620,9 @@ def colorful_helly(classes, msr: Measure, lam, eps, v) -> ColorfulHellyResult:
     )
 
 
-def _sampled_products(sizes, count, rng=None):
-    rng = rng or random.Random(0)
-    for _ in range(count):
+def _sampled_products(sizes):
+    rng = random.Random(0)
+    for _ in range(SCAN_SAMPLES):
         yield tuple(rng.randrange(s) for s in sizes)
 
 
@@ -680,10 +645,6 @@ def helly_check(
     msr: Measure,
     lam,
     eps,
-    *,
-    budget: int = SCAN_BUDGET,
-    samples: int = 2000,
-    rng: random.Random | None = None,
 ) -> HellyReport:
     """Check: all h-wise intersections >= lam implies full intersection
     >= (1 - eps) * lam."""
@@ -693,26 +654,15 @@ def helly_check(
     if n < h:
         raise PiercingError(f"family has {n} < h = {h} members")
 
-    hypothesis = True
-    violator = None
-    exhaustive = math.comb(n, h) <= budget
-    if exhaustive:
-        subsets = itertools.combinations(range(n), h)
-    else:
-        rng = rng or random.Random(0)
-        subsets = (
-            tuple(sorted(rng.sample(range(n), h))) for _ in range(samples)
-        )
-    for A in subsets:
-        body = intersect([F.members[i] for i in A])
-        if _certified_ge(msr, body, lam) is False:
-            hypothesis = False
-            violator = A
-            break
+    def misses(A) -> bool:
+        return certified_ge(msr, intersect([F.members[i] for i in A]), lam) is False
+
+    violator, exhaustive = scan_subsets(n, h, misses)
+    hypothesis = violator is None
 
     whole = intersect(list(F.members))
     value = evaluate(msr, whole)
-    conclusion = _certified_ge(msr, whole, (1 - eps) * lam)
+    conclusion = certified_ge(msr, whole, (1 - eps) * lam)
     holds = not (hypothesis and conclusion is False)
     return HellyReport(
         holds=holds,

@@ -124,6 +124,24 @@ def test_pierce_hypothesis_exit_2(tmp_path, vol_path):
     assert rc == 2
 
 
+def test_pierce_fractional_tau_exit_3(tmp_path, vol_path):
+    # boxes around the edges of a pentagon: tau* = 5/2 cannot be rounded
+    verts = [(10, 0), (3, 10), (-8, 6), (-8, -6), (3, -10)]
+    fam = Family(
+        tuple(
+            box(min(ax, bx) - 2, min(ay, by) - 2, max(ax, bx) + 2, max(ay, by) + 2)
+            for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])
+        )
+    )
+    fp = tmp_path / "pentagon.json"
+    dump(family_to_json(fam), fp)
+    rc = main(
+        ["pierce", "--family", str(fp), "--measure", vol_path, "--p", "3",
+         "--q", "2", "--lambda", "1", "--eps", "1/8"]
+    )
+    assert rc == 3
+
+
 def test_helly_check_exit_codes(tmp_path, vol_path, capsys):
     rc = main(["gen", "--kind", "bkp-counterexample", "--out", str(tmp_path / "bkp.json")])
     assert rc == 0

@@ -21,6 +21,7 @@ from quanthelly.combinat import (
     caratheodory_subset,
     colorful_caratheodory,
     find_uncovered_subset,
+    scan_subsets,
     selection,
     tverberg_partition,
     weak_net,
@@ -367,6 +368,25 @@ def test_find_uncovered_subset_none_when_covered():
     search = find_uncovered_subset(fam, [center], F(3, 4))
     # every 3-subset of the corners contains the center
     assert search.subset is None
+
+
+def test_scan_subsets_exhaustive_is_lexicographic():
+    found, exhaustive = scan_subsets(5, 2, lambda s: sum(s) == 5)
+    assert (found, exhaustive) == ((1, 4), True)
+    assert scan_subsets(5, 2, lambda s: False) == (None, True)
+
+
+def test_scan_subsets_sampled_branch():
+    # C(40, 10) > 10**6, so the scan draws seeded samples
+    def test(s):
+        return sum(s) % 7 == 0
+
+    found, exhaustive = scan_subsets(40, 10, test)
+    assert exhaustive is False
+    assert found is not None and test(found)
+    assert len(found) == 10 and list(found) == sorted(set(found))
+    assert scan_subsets(40, 10, test) == (found, False)
+    assert scan_subsets(40, 10, lambda s: False) == (None, False)
 
 
 # ------------------------------------------------------------- properties

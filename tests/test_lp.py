@@ -201,3 +201,17 @@ def test_optimal_solutions_are_feasible(c, rows):
         assert all(x >= 0 for x in sol.x)
         for r, b in zip(rows, rhs):
             assert sum(a * x for a, x in zip(r, sol.x)) <= b
+
+
+def test_verify_rejects_tampered_solution():
+    # _verify checks the internal minimization; this program is already one
+    from dataclasses import replace
+
+    from quanthelly.lp import _verify
+
+    c, rows, senses, rhs = [1, 2], [[1, 1], [1, 0]], [">=", "<="], [4, 3]
+    sol = solve(c=c, rows=rows, senses=senses, rhs=rhs)
+    _verify(c, rows, senses, rhs, sol)
+    tampered = replace(sol, x=(sol.x[0] + 1,) + sol.x[1:])
+    with pytest.raises(LPError):
+        _verify(c, rows, senses, rhs, tampered)

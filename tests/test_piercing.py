@@ -47,6 +47,21 @@ def three_squares():
     return Family((box(0, 0, 2, 2), box(1, 0, 3, 2), box(2, 0, 4, 2)))
 
 
+def pentagon_edge_boxes():
+    """Boxes around the five edges of a pentagon, widened by 2.
+
+    Only neighbours meet, so every 3 members hold 2 that meet, and
+    tau* = nu* = 5/2.
+    """
+    verts = [(10, 0), (3, 10), (-8, 6), (-8, -6), (3, -10)]
+    boxes = []
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        boxes.append(
+            box(min(ax, bx) - 2, min(ay, by) - 2, max(ax, bx) + 2, max(ay, by) + 2)
+        )
+    return Family(tuple(boxes))
+
+
 def oracle_transversal(pool, n_members):
     """Minimum fractional transversal by vertex enumeration.
 
@@ -222,6 +237,14 @@ def test_check_pq_disjoint_violator():
     assert evaluate(VOL, inter).hi < 1
 
 
+def test_check_pq_sampled_when_subsets_exceed_budget():
+    # C(40, 10) > 10**6 p-subsets: the scan samples and says so
+    fam = Family(tuple(box(0, 0, 2, 2) for _ in range(40)))
+    res = check_pq(fam, 10, 1, VOL, F(1))
+    assert res.holds
+    assert res.exhaustive is False
+
+
 def test_check_pq_unit_subsets():
     fam = Family((box(0, 0, 2, 2), box(5, 5, 6, 6)))
     assert check_pq(fam, 1, 1, VOL, F(1)).holds
@@ -280,6 +303,15 @@ def test_pq_pierce_transcript_fields():
     assert t["tau_star"] == t["nu_star"] == 2
     assert t["p"] == 3 and t["q"] == 2
     assert t["pq_exhaustive"]
+
+
+@pytest.mark.parametrize("msr, eps", [(VOL, F(1, 8)), (LAT, F(0)), (NE, F(0))])
+def test_pq_pierce_fractional_tau_is_pool_error(msr, eps):
+    # rounding tau* = 5/2 is out of reach of the net step: a pool error
+    fam = pentagon_edge_boxes()
+    assert check_pq(fam, 3, 2, msr, F(1)).holds
+    with pytest.raises(PoolError):
+        pq_pierce(fam, 3, 2, msr, F(1), eps)
 
 
 # ------------------------------------------------------- replicate_and_round
