@@ -22,7 +22,7 @@ from .combinat import (
     weak_net,
 )
 from .experiment import run_experiment, report_to_csv, report_to_json
-from .floating import floating_body, named_directions
+from .floating import floating_body, named_directions, perturbed_directions
 from .generators import GeneratorError, GeneratorSpec, generate
 from .geometry import GeometryError
 from .jsonio import (
@@ -40,7 +40,7 @@ from .jsonio import (
     measure_from_json,
     parse_frac,
 )
-from .measures import Measure, MeasureError, evaluate
+from .measures import Measure, MeasureError, evaluate, lattice_points
 from .piercing import (
     HypothesisError,
     PiercingError,
@@ -219,6 +219,8 @@ def _cmd_floating_body(args) -> int:
     body = body_from_json(load(args.body))
     msr = _load_measure(args.measure)
     dirs = named_directions(args.dirs, body.dim)
+    if msr.kind == "lattice":
+        dirs = perturbed_directions(dirs, lattice_points(body, msr))
     fb = floating_body(body, msr, parse_frac(args.eps), dirs)
     doc = {
         "schema": SCHEMAS["result"],

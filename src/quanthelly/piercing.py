@@ -123,7 +123,13 @@ def build_pool(
     *,
     max_pool: int = MAX_POOL,
 ) -> CandidatePool:
-    """Subfamily intersections with measure >= lam, plus their eps-shrinks."""
+    """Subfamily intersections with measure >= lam, plus their eps-shrinks.
+
+    Level-wise: a subfamily is intersected (from one of its parents) only if
+    every subfamily one member smaller is non-empty and not certified below
+    lam, and each distinct body is shrunk once; the pool order is that of the
+    exhaustive lexicographic scan.
+    """
     lam = Fraction(lam)
     eps = Fraction(eps)
     if s_max < 1:
@@ -136,15 +142,30 @@ def build_pool(
     provenance = []
     thresholds = []
     seen = {}
+    shrinks = {}
+    alive = {(): None}  # previous level: subset -> intersection body
     for size in range(1, min(s_max, n) + 1):
+        level = {}
         for A in itertools.combinations(range(n), size):
-            body = intersect([F.members[i] for i in A])
+            # measures are monotone: a superset of a failed subset fails too
+            if any(A[:j] + A[j + 1 :] not in alive for j in range(size)):
+                continue
+            if size == 1:
+                body = F.members[A[0]]
+            else:
+                body = intersect([alive[A[:-1]], F.members[A[-1]]])
             if body.is_empty:
                 continue
-            if certified_ge(msr, body, lam) is not True:
+            verdict = certified_ge(msr, body, lam)
+            if verdict is False:
+                continue
+            level[A] = body
+            if verdict is None:
                 continue
             entries = [(body, False, lam)]
-            shrunk, applied = _shrink_body(body, msr, eps)
+            if body not in shrinks:
+                shrinks[body] = _shrink_body(body, msr, eps)
+            shrunk, applied = shrinks[body]
             if applied and not shrunk.is_empty:
                 entries.append((shrunk, True, (1 - eps) * lam))
             for cand, flag, floor_ in entries:
@@ -159,6 +180,7 @@ def build_pool(
                 thresholds.append(floor_)
             if len(bodies) > max_pool:
                 raise PoolError(f"candidate pool exceeded {max_pool} entries")
+        alive = level
 
     matrix = tuple(
         tuple(body_contains_body(F.members[fi], cand) for fi in range(n))

@@ -6,9 +6,17 @@ from fractions import Fraction as F
 import pytest
 
 from quanthelly.cli import main
-from quanthelly.jsonio import dump, dumps, family_to_json, load, measure_to_json
+from quanthelly.jsonio import (
+    body_from_json,
+    body_to_json,
+    dump,
+    dumps,
+    family_to_json,
+    load,
+    measure_to_json,
+)
 from quanthelly.combinat import Family
-from quanthelly.geometry import convex_hull
+from quanthelly.geometry import body_contains_body, convex_hull
 from quanthelly.measures import Measure
 
 
@@ -188,6 +196,20 @@ def test_floating_body_command(tmp_path, vol_path):
     assert sorted(doc["body"]["vertices"]) == [
         ["1/4", "1/4"], ["1/4", "3/4"], ["3/4", "1/4"], ["3/4", "3/4"],
     ]
+
+
+def test_floating_body_command_lattice(tmp_path, lat_path):
+    # the farey directions are not generic for this triangle's lattice points
+    tri = convex_hull([(0, 0), (7, 0), (2, 5)])
+    bp = tmp_path / "tri.json"
+    dump(body_to_json(tri), bp)
+    out = tmp_path / "fb.json"
+    rc = main(
+        ["floating-body", "--body", str(bp), "--measure", lat_path,
+         "--eps", "1/4", "--dirs", "farey:3", "--out", str(out)]
+    )
+    assert rc == 0
+    assert body_contains_body(tri, body_from_json(load(out)["body"]))
 
 
 def test_tverberg_command(tmp_path):

@@ -10,7 +10,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quanthelly import piercing
 from quanthelly.combinat import Family
 from quanthelly.geometry import (
     ConvexBody,
@@ -19,10 +22,11 @@ from quanthelly.geometry import (
     convex_hull,
     intersect,
 )
-from quanthelly.measures import Measure, evaluate
+from quanthelly.measures import Measure, certified_ge, evaluate
 from quanthelly.piercing import (
     HypothesisError,
     PoolError,
+    _shrink_body,
     build_pool,
     check_pq,
     colorful_helly,
@@ -151,6 +155,121 @@ def test_pool_thresholds_hold():
     for cand, bar in zip(pool.candidates, pool.thresholds):
         v = evaluate(VOL, cand)
         assert v.lo >= bar
+
+
+def exhaustive_pool(fam, msr, lam, eps, s_max):
+    """Reference pool: every subset up to s_max, each intersected from scratch."""
+    bodies, provenance, thresholds = [], [], []
+    for size in range(1, min(s_max, len(fam)) + 1):
+        for A in itertools.combinations(range(len(fam)), size):
+            body = intersect([fam.members[i] for i in A])
+            if body.is_empty or certified_ge(msr, body, lam) is not True:
+                continue
+            entries = [(body, False, lam)]
+            shrunk, applied = _shrink_body(body, msr, eps)
+            if applied and not shrunk.is_empty:
+                entries.append((shrunk, True, (1 - eps) * lam))
+            for cand, flag, floor_ in entries:
+                if cand.bounded and cand not in bodies:
+                    bodies.append(cand)
+                    provenance.append((A, flag))
+                    thresholds.append(floor_)
+    matrix = [
+        tuple(body_contains_body(mem, cand) for mem in fam.members) for cand in bodies
+    ]
+    return bodies, provenance, thresholds, matrix
+
+
+@st.composite
+def clustered_boxes(draw):
+    """Up to 7 axis-parallel boxes in eighths, spread over disjoint clusters."""
+    n = draw(st.integers(1, 7))
+    clusters = draw(st.integers(1, 3))
+    members = []
+    for _ in range(n):
+        dx = 8 * draw(st.integers(0, clusters - 1))
+        x0, y0 = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+        w, h = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+        members.append(box(dx + F(x0, 8), F(y0, 8), dx + F(x0 + w, 8), F(y0 + h, 8)))
+    return Family(tuple(members))
+
+
+BARS = {
+    "volume": (VOL, (F(1, 4), F(1), F(2))),
+    "perimeter": (Measure.perimeter(), (F(2), F(4), F(6))),
+    "lattice": (LAT, (F(1), F(2), F(4))),
+    "nonempty": (NE, (F(1),)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BARS))
+@settings(max_examples=30)
+@given(
+    fam=clustered_boxes(),
+    bar=st.integers(0, 2),
+    eps=st.sampled_from([F(0), F(1, 8)]),
+    s_max=st.sampled_from([1, 2, 3, None]),
+)
+def test_pool_equals_exhaustive_pool(kind, fam, bar, eps, s_max):
+    msr, bars = BARS[kind]
+    lam = bars[bar % len(bars)]
+    s_max = s_max or len(fam)
+    pool = build_pool(fam, msr, lam, eps, s_max)
+    bodies, provenance, thresholds, matrix = exhaustive_pool(fam, msr, lam, eps, s_max)
+    assert list(pool.candidates) == bodies
+    assert list(pool.provenance) == provenance
+    assert list(pool.thresholds) == thresholds
+    assert list(pool.matrix) == matrix
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    orig = getattr(piercing, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(piercing, name, counted)
+    return calls
+
+
+def test_pool_skips_supersets_of_disjoint_pairs(monkeypatch):
+    # four disjoint clusters of three rectangles that pairwise share lattice points
+    fam = Family(
+        tuple(
+            box(10 * c + i, 0, 10 * c + i + 4, 3) for c in range(4) for i in range(3)
+        )
+    )
+    calls = _counting(monkeypatch, "intersect")
+    pool = build_pool(fam, LAT, 2, 0, 4)
+    # singletons are the members themselves; then all 66 pairs and only the 4
+    # in-cluster triples, as every 4-subset holds a triple across clusters
+    # (an exhaustive scan intersects all 793 subsets)
+    assert len(calls) == 66 + 4
+    assert len(pool) == 12 + 3 * 4  # each triple equals its outer pair
+
+
+def test_pool_floats_each_distinct_body_once(monkeypatch):
+    # in each cluster every pair and the triple meet in the same base square
+    fam = Family(
+        tuple(
+            b
+            for dx in (0, 10)
+            for b in (box(dx, 0, dx + 4, 2), box(dx, 0, dx + 2, 4), box(dx - 2, -2, dx + 2, 2))
+        )
+    )
+    calls = _counting(monkeypatch, "_float_over")
+    build_pool(fam, VOL, 1, F(1, 8), 3)
+    passing = {
+        body
+        for size in (1, 2, 3)
+        for A in itertools.combinations(range(len(fam)), size)
+        for body in [intersect([fam.members[i] for i in A])]
+        if not body.is_empty and certified_ge(VOL, body, 1) is True
+    }
+    assert len(passing) == 6 + 2  # the members and the two base squares
+    assert len(calls) == len(passing)
 
 
 # ------------------------------------------------------------------ LP duality
