@@ -6,9 +6,13 @@ above a target.  The floating body intersects K with these cuts at target
 (1 - eps) f(K) over a chosen direction set; since the true object quantifies
 over all directions, the computed body is an outer approximation.
 
-Continuous measures use exact rational bisection on c; the returned offset is
-the certified upper end of the final bracket, so the defining inequality holds
-exactly (and lands on the true cut whenever that cut is dyadic in the bracket).
+Continuous measures search the dyadic grid lo + (hi - lo) j / 2^N between the
+two supporting offsets of K, with N = ceil(log2(1/tol)) capped at MAX_BISECT.
+The returned offset is the smallest grid point whose cut certifiably reaches
+the target, so the defining inequality holds exactly (and lands on the true
+cut whenever that cut is on the grid).  It is found by an Illinois
+(modified regula falsi) search over j with exact probes; measures are
+monotone in c, so it is the offset that plain bisection to depth N returns.
 Discrete measures use an exact order statistic of the point projections and
 demand strict projection order: a tie anywhere means the direction must be
 re-picked (see generic_direction / perturbed_directions).
@@ -44,7 +48,7 @@ from .measures import (
     one_minus_ratio,
 )
 
-MAX_BISECT = 512
+MAX_BISECT = 512  # the deepest dyadic grid a continuous cut searches
 MAX_DOUBLINGS = 512
 
 
@@ -138,7 +142,17 @@ def minimal_v_halfspace(
     *,
     tol: Fraction = DEFAULT_TOL,
 ) -> Halfspace:
-    """Smallest-offset halfspace <v, x> <= c keeping evaluate(m, K cut) >= target."""
+    """Smallest-offset halfspace <v, x> <= c keeping evaluate(m, K cut) >= target.
+
+    Lattice measures cut at an exact order statistic.  Continuous measures
+    return the smallest c = lo + (hi - lo) j / 2^N, N the grid depth of tol,
+    whose cut is certified to reach the target.  Each probe clips K exactly
+    and decides by one certified comparison; the search between probes keeps
+    a bracket of grid indices (ia misses, ib reaches) and picks the next
+    probe by false position on the residuals f - target, halving the residual
+    of an end kept twice in a row (Illinois) and taking the midpoint after 4
+    steps in a row that fail to halve the bracket.
+    """
     v = primitive_vector(v)
     target = Fraction(target)
     if target <= 0:
@@ -168,35 +182,70 @@ def minimal_v_halfspace(
     total = evaluate(m, K)
     if total.hi <= 0:
         raise MeasureError("floating cuts need positive measure")
-    if total.ge(target) is not True:
+    reaches, gb = _verdict(m, K, total, target)
+    if not reaches:
         raise MeasureError(f"body measure {total} is below the target {target}")
 
     lo = -support(K, tuple(-c for c in v))
-    hi = support(K, v)
+    span = support(K, v) - lo
+    depth = _grid_depth(tol)
 
-    def cut_reaches(c) -> bool:
-        got = certified_ge(m, clip(K, Halfspace.make(v, c)), target)
-        if got is None:
-            raise MeasureError("cut measure cannot be separated from the target")
-        return got
+    def probe(i):
+        c = lo + span * Fraction(i, 1 << depth)
+        cut = clip(K, Halfspace.make(v, c))
+        return _verdict(m, cut, evaluate(m, cut), target)
 
-    if cut_reaches(lo):
+    # Grid index 0 is the face of K at lo; index 2^depth is K itself, whose
+    # verdict is the one certified above.  Invariant: ia misses the target,
+    # ib reaches it.
+    reaches, ga = probe(0)
+    if reaches:
         return Halfspace.make(v, lo)
-    a, b = lo, hi
-    if not cut_reaches(b):
-        raise MeasureError("the whole body does not reach the target")
-    span = hi - lo
-    steps = 0
-    while b - a > tol * span:
-        steps += 1
-        if steps > MAX_BISECT:
-            break
-        mid = (a + b) / 2
-        if cut_reaches(mid):
-            b = mid
+    ia, ib = 0, 1 << depth
+    kept = None  # the end kept by the previous step
+    stalls = 0  # steps in a row that failed to halve the bracket
+    while ib - ia > 1:
+        w = ib - ia
+        if stalls >= 4 or gb == ga:  # gb == ga only when both are 0
+            i = ia + w // 2
         else:
-            a = mid
-    return Halfspace.make(v, b)
+            i = min(max(ia + (-ga * w) // (gb - ga), ia + 1), ib - 1)
+        reaches, g = probe(i)
+        if reaches:
+            ib, gb = i, g
+            if kept == "a":
+                ga /= 2
+            kept = "a"
+        else:
+            ia, ga = i, g
+            if kept == "b":
+                gb /= 2
+            kept = "b"
+        stalls = stalls + 1 if 2 * (ib - ia) > w else 0
+    return Halfspace.make(v, lo + span * Fraction(ib, 1 << depth))
+
+
+def _grid_depth(tol: Fraction) -> int:
+    """Smallest N <= MAX_BISECT with 2^-N <= tol."""
+    if tol <= 0:
+        return MAX_BISECT
+    return min((math.ceil(1 / tol) - 1).bit_length(), MAX_BISECT)
+
+
+def _verdict(m: Measure, body: ConvexBody, val: MeasureValue, target: Fraction):
+    """Certified f(body) >= target, with the residual that steers the search.
+
+    The residual is the exact value (volume) or the interval midpoint
+    (perimeter) minus the target, clamped to the side of the verdict; it only
+    picks the next probe and never decides one.
+    """
+    reaches = val.ge(target)
+    if reaches is None:
+        reaches = certified_ge(m, body, target)
+        if reaches is None:
+            raise MeasureError("cut measure cannot be separated from the target")
+    g = (val.lo + val.hi) / 2 - target
+    return reaches, (max(g, Fraction(0)) if reaches else min(g, Fraction(0)))
 
 
 # -- floating bodies ---------------------------------------------------------

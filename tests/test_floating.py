@@ -5,10 +5,12 @@ shrink parameter and the direction set, and discrete genericity handling.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from quanthelly import floating
 from quanthelly.floating import (
+    MAX_BISECT,
     DirectionSet,
     check_separation,
     floating_body,
@@ -20,12 +22,17 @@ from quanthelly.floating import (
 from quanthelly.geometry import (
     ConvexBody,
     GeometryError,
+    Halfspace,
     body_contains_body,
+    clip,
     convex_hull,
+    primitive_vector,
+    support,
 )
-from quanthelly.measures import Measure, MeasureError, evaluate
+from quanthelly.measures import Measure, MeasureError, certified_ge, evaluate
 
 VOL = Measure.volume()
+PERIM = Measure.perimeter()
 LAT = Measure.lattice()
 
 
@@ -121,6 +128,133 @@ def test_cut_target_exceeding_mass_rejected():
 def test_cut_empty_or_unbounded_rejected():
     with pytest.raises(MeasureError):
         minimal_v_halfspace(ConvexBody.empty(2), (1, 0), VOL, F(1, 2))
+
+
+def test_cut_accepts_body_certified_after_refinement():
+    # At the default tol the perimeter interval of K straddles lam; one
+    # refinement certifies f(K) >= lam, so the cut exists.
+    tri = convex_hull([(0, 0), (3, 1), (1, 4)])
+    lam = evaluate(PERIM.with_tol(PERIM.tol / 2**8), tri).lo
+    assert evaluate(PERIM, tri).ge(lam) is None
+    assert certified_ge(PERIM, tri, lam) is True
+    h = minimal_v_halfspace(tri, (1, 0), PERIM, lam)
+    assert h.offset == reference_bisection(tri, (1, 0), PERIM, lam, PERIM.tol)
+
+
+def reference_bisection(K, v, m, target, tol):
+    """Offset of plain exact bisection, the reference for minimal cuts.
+
+    It halves [lo, hi] until the bracket is at most tol * (hi - lo) wide, or
+    MAX_BISECT times, and returns the upper end: the smallest point of that
+    dyadic grid whose cut reaches the target.
+    """
+    v = primitive_vector(v)
+    lo = -support(K, tuple(-c for c in v))
+    hi = support(K, v)
+
+    def cut_reaches(c):
+        got = certified_ge(m, clip(K, Halfspace.make(v, c)), target)
+        assert got is not None
+        return got
+
+    if cut_reaches(lo):
+        return lo
+    a, b = lo, hi
+    assert cut_reaches(b)
+    span = hi - lo
+    steps = 0
+    while b - a > tol * span:
+        steps += 1
+        if steps > MAX_BISECT:
+            break
+        mid = (a + b) / 2
+        if cut_reaches(mid):
+            b = mid
+        else:
+            a = mid
+    return b
+
+
+eighth = st.integers(-32, 32).map(lambda k: F(k, 8))
+share = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda t: t > 0)
+cut_tol = st.sampled_from([F(1, 2**40), F(1, 2**50), F(1, 3), F(1, 1000)])
+
+
+def _nonzero(dim):
+    return st.tuples(*[st.integers(-5, 5)] * dim).filter(any)
+
+
+@given(
+    st.lists(st.tuples(eighth, eighth), min_size=3, max_size=7),
+    _nonzero(2),
+    st.sampled_from([VOL, PERIM]),
+    share,
+    cut_tol,
+)
+# cuts near K straddle the target here, so probes are decided by refinement
+@example([(0, F(-1, 8)), (F(-1, 4), 0), (F(5, 2), F(29, 8))], (0, -1), PERIM, F(1), F(1, 2**50))
+def test_cut_matches_reference_bisection_2d(points, v, m, t, tol):
+    body = convex_hull(points)
+    if not body.is_full_dim:
+        return
+    target = t * evaluate(m, body).lo
+    h = minimal_v_halfspace(body, v, m, target, tol=tol)
+    assert h.normal == primitive_vector(v)
+    assert h.offset == reference_bisection(body, v, m, target, tol)
+
+
+def _box3(corner, sides):
+    (x, y, z), (a, b, c) = corner, sides
+    return convex_hull(
+        [(x + i * a, y + j * b, z + k * c) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    )
+
+
+solid3 = st.one_of(
+    st.lists(st.tuples(eighth, eighth, eighth), min_size=4, max_size=4).map(convex_hull),
+    st.builds(
+        _box3,
+        st.tuples(eighth, eighth, eighth),
+        st.tuples(*[st.integers(1, 16).map(lambda k: F(k, 8))] * 3),
+    ),
+)
+
+
+@given(solid3, _nonzero(3), share, cut_tol)
+def test_cut_matches_reference_bisection_3d(body, v, t, tol):
+    if not body.is_full_dim:
+        return
+    target = t * evaluate(VOL, body).exact_value
+    h = minimal_v_halfspace(body, v, VOL, target, tol=tol)
+    assert h.offset == reference_bisection(body, v, VOL, target, tol)
+
+
+def test_cut_probe_count(monkeypatch):
+    # Plain bisection clips 41-42 times per cut at the default tol.  The eps
+    # range is that of the benchmark's floating bodies and shrink steps;
+    # deeper cuts (eps = 1/100 and below) take more probes.
+    calls = []
+    real_clip = floating.clip
+
+    def counting_clip(body, h):
+        calls.append(h)
+        return real_clip(body, h)
+
+    monkeypatch.setattr(floating, "clip", counting_clip)
+    bodies = [
+        UNIT,
+        convex_hull([(0, 0), (3, 1), (1, 4)]),
+        convex_hull([(0, 0), (5, 0), (6, 3), (2, 5), (-1, 2)]),
+        convex_hull([(F(1, 8), 0), (7, F(3, 8)), (4, 6)]),
+    ]
+    for body in bodies:
+        for m in (VOL, PERIM):
+            total = evaluate(m, body).lo
+            for v in ((1, 0), (0, -1), (2, 1), (-3, 5)):
+                for eps in (F(1, 16), F(1, 8), F(1, 4), F(1, 2)):
+                    calls.clear()
+                    minimal_v_halfspace(body, v, m, (1 - eps) * total)
+                    assert 1 <= len(calls) <= 16, (body.vertices, m.kind, v, eps)
 
 
 # ---------------------------------------------------------- floating body
