@@ -42,6 +42,7 @@ from .jsonio import (
 )
 from .measures import Measure, MeasureError, evaluate, lattice_points
 from .piercing import (
+    ConclusionError,
     HypothesisError,
     PiercingError,
     PoolError,
@@ -350,6 +351,9 @@ def main(argv=None) -> int:
     except PoolError as e:
         print(f"pool insufficient: {e}", file=sys.stderr)
         return EXIT_POOL
+    except ConclusionError as e:
+        print(f"conclusion fails: {e}", file=sys.stderr)
+        return EXIT_CONCLUSION
     except (
         PiercingError,
         CombinatError,

@@ -2,14 +2,15 @@
 
 The pipeline: build a finite candidate pool from subfamily intersections and
 their floating-body shrinks, solve the fractional transversal and packing
-programs exactly (their optima must coincide), replicate candidates by their
-rounded weights, and extract an integral witness set via a weak net.  Every
+programs exactly (their optima must coincide), and round the transversal to
+a greedy cover of the family by the candidates of positive weight.  Every
 certificate is re-verified by exact containment and certified measure bounds.
 
 Also here: the fractional Helly witness construction (directional cuts of
 (h-1)-tuple intersections, containment-maximal assignment), its colorful
-variant, and a direct hypothesis/conclusion checker for Helly-type
-implications.
+variant (the first class intersection that certifies, starting from the
+class the cut argument leaves out), and a direct hypothesis/conclusion
+checker for Helly-type implications.
 """
 
 from __future__ import annotations
@@ -20,15 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinat import (
-    SCAN_BUDGET,
-    SCAN_SAMPLES,
-    CombinatError,
-    Family,
-    scan_subsets,
-    selection,
-    weak_net,
-)
+from .combinat import SCAN_BUDGET, SCAN_SAMPLES, Family, scan_subsets
 from .floating import DirectionSet, floating_body, minimal_v_halfspace, perturbed_directions
 from .geometry import (
     ConvexBody,
@@ -45,9 +38,7 @@ from .measures import Measure, MeasureError, certified_ge, evaluate, lattice_poi
 
 MAX_FAMILY = 64
 MAX_POOL = 4096
-DENOM_CAP = 2**16
 GAMMA = Fraction(1, 2)  # share of eps spent on the pool shrink
-REPLICA_CAP = 512
 
 
 class PiercingError(ValueError):
@@ -64,6 +55,10 @@ class HypothesisError(PiercingError):
 
 class PoolError(PiercingError):
     """The candidate pool or its budgets cannot support the run (exit code 3)."""
+
+
+class ConclusionError(PiercingError):
+    """The hypothesis holds but the stated conclusion fails (exit code 4)."""
 
 
 def _shrink_body(body: ConvexBody, msr: Measure, eps, extra_dirs=()):
@@ -105,7 +100,6 @@ class CandidatePool:
     provenance: tuple  # (member index tuple, shrunk flag)
     thresholds: tuple  # certified measure floor per candidate
     matrix: tuple  # matrix[ci][fi]: candidate ci contained in member fi
-    transcript: dict = field(compare=False, default_factory=dict)
 
     def __len__(self):
         return len(self.candidates)
@@ -191,7 +185,6 @@ def build_pool(
         provenance=tuple(provenance),
         thresholds=tuple(thresholds),
         matrix=matrix,
-        transcript={"s_max": s_max, "lam": lam, "eps": eps, "pool_limited": s_max < n},
     )
 
 
@@ -282,7 +275,7 @@ def check_pq(
     return PQCheck(violator is None, violator, exhaustive)
 
 
-# -- replication and rounding ---------------------------------------------------
+# -- rounding -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -294,81 +287,42 @@ class PiercingCertificate:
 
 
 def replicate_and_round(
-    F: Family,
-    pool: CandidatePool,
-    sol: LPSolution,
-    msr: Measure,
-    lam,
-    eps,
+    F: Family, pool: CandidatePool, sol: LPSolution, msr: Measure
 ) -> PiercingCertificate:
-    """Turn fractional transversal weights into an integral witness set.
+    """Round the fractional transversal to a cover of the family by the pool.
 
-    Integral solutions pass through directly.  Otherwise weights are rounded
-    up to denominators <= 2^16 (feasibility only improves), every candidate is
-    replicated weight * M times, and a weak 1/r-net of the multiset supplies
-    the witnesses; each member then contains at least an eps'-fraction of the
-    copies, hence a net element.
+    Every pool candidate inside a member is a certified witness, so a cover
+    is a certificate.  Among the candidates of positive weight, repeatedly
+    take the one inside the most uncovered members (ties to the lower index);
+    the witnesses are the chosen ones in index order.  A 0/1 optimum is a
+    minimum cover, so each of its candidates covers a member no other covers
+    and the cover is exactly its support; in general |cover| <= H_d * tau*
+    (Chvatal 1979), d the most members any one candidate lies in.  The name
+    stays from the replication step this replaced: the benchmark tracer
+    binds it.
     """
-    lam = Fraction(lam)
-    eps = Fraction(eps)
-    weights = [Fraction(w) for w in sol.x[: len(pool)]]
-    support_idx = [ci for ci, w in enumerate(weights) if w > 0]
-    transcript = {"tau_star": sol.objective}
-
-    if all(weights[ci] == 1 for ci in support_idx):
-        witnesses = [pool.candidates[ci] for ci in support_idx]
-        transcript.update({"integral": True})
-        return _assemble(F, msr, witnesses, transcript)
-
-    rounded = []
-    for w in weights:
-        if w == 0:
-            rounded.append(Fraction(0))
-        else:
-            rounded.append(min(Fraction(1), Fraction(math.ceil(w * DENOM_CAP), DENOM_CAP)))
-    M = 1
-    for w in rounded:
-        if w > 0:
-            M = M * w.denominator // math.gcd(M, w.denominator)
-    counts = [int(w * M) for w in rounded]
-    total = sum(counts)
-    if total > REPLICA_CAP:
-        raise PoolError(
-            f"replication would need {total} copies (cap {REPLICA_CAP}); "
-            "weights too fine for the desk-scale net step"
-        )
-    copies = []
-    for ci, cnt in enumerate(counts):
-        copies.extend([pool.candidates[ci]] * cnt)
-    tau_rounded = Fraction(total, M)
-    transcript.update(
-        {"integral": False, "M": M, "copies": total, "tau_rounded": tau_rounded}
-    )
-
-    replicas = Family(tuple(copies))
-    try:
-        if total == M:  # rounded optimum 1: every positive-weight candidate fits all
-            witnesses = [selection(replicas, msr, eps).witness]
-            transcript["net_iterations"] = 1
-        else:
-            eps_prime = Fraction(M, total)
-            net = weak_net(replicas, msr, eps, eps_prime)
-            witnesses = list(net.net)
-            transcript.update({"eps_prime": eps_prime, "net_iterations": net.iterations})
-    except CombinatError as e:
-        raise PoolError(f"cannot round tau* = {sol.objective}: {e}") from e
-    return _assemble(F, msr, witnesses, transcript)
+    support = [ci for ci, w in enumerate(sol.x[: len(pool)]) if w > 0]
+    inside = {ci: {fi for fi, hit in enumerate(pool.matrix[ci]) if hit} for ci in support}
+    uncovered = set(range(len(F)))
+    chosen = []
+    while uncovered:
+        best = max(support, key=lambda ci: (len(inside[ci] & uncovered), -ci))
+        if not inside[best] & uncovered:
+            break  # weights that cover no more: _assemble names the member
+        chosen.append(best)
+        uncovered -= inside[best]
+    transcript = {
+        "tau_star": sol.objective,
+        "integral": all(sol.x[ci] == 1 for ci in support),
+    }
+    return _assemble(F, msr, [pool.candidates[ci] for ci in sorted(chosen)], transcript)
 
 
 def _assemble(F: Family, msr: Measure, witnesses, transcript) -> PiercingCertificate:
-    uniq = []
-    for w in witnesses:
-        if w not in uniq:
-            uniq.append(w)
     coverage = []
     for fi, member in enumerate(F.members):
         wi = next(
-            (i for i, w in enumerate(uniq) if body_contains_body(member, w)), None
+            (i for i, w in enumerate(witnesses) if body_contains_body(member, w)), None
         )
         if wi is None:
             raise PoolError(
@@ -376,9 +330,9 @@ def _assemble(F: Family, msr: Measure, witnesses, transcript) -> PiercingCertifi
                 "is too coarse (raise s_max or refine directions)"
             )
         coverage.append(wi)
-    values = tuple(evaluate(msr, w) for w in uniq)
+    values = tuple(evaluate(msr, w) for w in witnesses)
     return PiercingCertificate(
-        witnesses=tuple(uniq),
+        witnesses=tuple(witnesses),
         coverage=tuple(coverage),
         values=values,
         transcript=transcript,
@@ -421,7 +375,7 @@ def pq_pierce(
         raise PiercingError(
             f"duality broke: tau* = {tau.objective} != nu* = {nu.objective}"
         )
-    cert = replicate_and_round(F, pool, tau, msr, lam, shrink)
+    cert = replicate_and_round(F, pool, tau, msr)
     floor_ = (1 - eps) * lam
     for wi, w in enumerate(cert.witnesses):
         if certified_ge(msr, w, floor_) is not True:
@@ -463,13 +417,6 @@ def _directional_cut(body: ConvexBody, v, msr: Measure, lam):
         return h.offset, h
     h = minimal_v_halfspace(body, v, msr, lam)
     return h.offset, h
-
-
-def _witness_from_cut(kb: ConvexBody, msr: Measure, eps, v):
-    """Shrink the cut body to the final witness at level eps."""
-    if msr.kind == "nonempty":
-        return ConvexBody.from_points([min(kb.vertices)])
-    return _shrink_body(kb, msr, eps, (v,))[0]
 
 
 @dataclass(frozen=True)
@@ -535,7 +482,10 @@ def fractional_helly_witness(
     m_tuple = max(assigned, key=lambda B: (assigned[B], tuple(-i for i in B)))
     (_, h_m), body_m = cut_for(m_tuple)
     kb = clip(body_m, h_m)
-    witness = _witness_from_cut(kb, msr, eps, v)
+    if msr.kind == "nonempty":
+        witness = ConvexBody.from_points([min(kb.vertices)])
+    else:
+        witness = _shrink_body(kb, msr, eps, (v,))[0]
     members = tuple(
         fi for fi in range(n) if body_contains_body(F.members[fi], witness)
     )
@@ -566,13 +516,14 @@ class ColorfulHellyResult:
 
 
 def colorful_helly(classes, msr: Measure, lam, eps, v) -> ColorfulHellyResult:
-    """A class whose full intersection contains the witness body.
+    """A class whose full intersection certifies measure >= (1 - eps) * lam.
 
     Hypothesis: every colorful full-length choice intersects with measure at
-    least lam (checked, budget-capped).  The witness is the shrunk cut body of
-    a containment-maximal colorful (h-1)-tuple; the class left out of that
-    tuple is the reported one, and the containment is verified exactly,
-    retrying with finer direction sets before giving up.
+    least lam (checked, budget-capped).  The containment-maximal colorful
+    (h-1)-tuple under the minimal v-cut names the class it leaves out; that
+    class is tried first, then the others in ascending order, and the first
+    class intersection that certifies is the witness.  ConclusionError when
+    none does.
     """
     lam = Fraction(lam)
     eps = Fraction(eps)
@@ -595,7 +546,7 @@ def colorful_helly(classes, msr: Measure, lam, eps, v) -> ColorfulHellyResult:
                 f"colorful choice {choice} misses the threshold", choice
             )
 
-    best = None  # (alpha, omitted class, member choice, cut halfspace, tuple body)
+    best = None  # (alpha, omitted class, member choice)
     for omit in range(h):
         others = [i for i in range(h) if i != omit]
         for pick in itertools.product(*[range(sizes[i]) for i in others]):
@@ -605,40 +556,33 @@ def colorful_helly(classes, msr: Measure, lam, eps, v) -> ColorfulHellyResult:
             if body.is_empty:
                 continue
             try:
-                alpha, hs = _directional_cut(body, v, msr, lam)
+                alpha, _ = _directional_cut(body, v, msr, lam)
             except MeasureError:
                 continue
             if best is None or alpha > best[0]:
-                best = (alpha, omit, tuple(zip(others, pick)), hs, body)
+                best = (alpha, omit, tuple(zip(others, pick)))
     if best is None:
         raise HypothesisError("no colorful cut tuple is measurable")
-    alpha, omit, choice, hs, body = best
-    kb = clip(body, hs)
+    alpha, omit, choice = best
 
-    target = intersect(list(classes[omit].members))
-    refinable = msr.kind != "nonempty" and eps > 0
-    schedules = [None]
-    if refinable:
-        schedules += [DirectionSet.farey(3), DirectionSet.farey(5)]
-    witness = None
-    for extra in schedules:
-        if extra is None:
-            cand = _witness_from_cut(kb, msr, eps, v)
-        else:
-            cand = _float_over(kb, msr, eps, extra)
-        if body_contains_body(target, cand):
-            witness = cand
-            break
-    if witness is None:
-        raise PoolError(
-            "witness verification failed at every direction refinement; "
-            "the outer approximation is too coarse for this instance"
-        )
-    return ColorfulHellyResult(
-        class_index=omit,
-        witness=witness,
-        choice=choice,
-        transcript={"alpha": alpha, "exhaustive_hypothesis": exhaustive},
+    floor_ = (1 - eps) * lam
+    values = []
+    for k in [omit] + [i for i in range(h) if i != omit]:
+        full = intersect(list(classes[k].members))
+        if certified_ge(msr, full, floor_) is True:
+            return ColorfulHellyResult(
+                class_index=k,
+                witness=full,
+                choice=choice,
+                transcript={
+                    "alpha": alpha,
+                    "omitted": omit,
+                    "exhaustive_hypothesis": exhaustive,
+                },
+            )
+        values.append(f"class {k}: {evaluate(msr, full)!r}")
+    raise ConclusionError(
+        f"no class intersection certifies measure >= {floor_} ({'; '.join(values)})"
     )
 
 

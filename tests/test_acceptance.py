@@ -38,7 +38,7 @@ from quanthelly.geometry import (
     convex_hull,
     intersect,
 )
-from quanthelly.measures import evaluate, lattice_points
+from quanthelly.measures import certified_ge, evaluate, lattice_points
 from quanthelly.piercing import PoolError
 
 VOL = Measure.volume()
@@ -435,6 +435,7 @@ def test_criterion_09_colorful_helly():
         full = intersect(list(classes[res.class_index].members))
         assert not res.witness.is_empty
         assert body_contains_body(full, res.witness)
+        assert certified_ge(NE, res.witness, 1) is True
 
     for trial in range(20):
         px, py = rng.randint(-5, 5), rng.randint(-5, 5)
@@ -460,6 +461,7 @@ def test_criterion_09_colorful_helly():
         res = colorful_helly(classes, LAT, 1, 0, (7, 1))
         full = intersect(list(classes[res.class_index].members))
         assert body_contains_body(full, res.witness)
+        assert certified_ge(LAT, res.witness, 1) is True
         assert lattice_points(res.witness, LAT) == ((px, py),)
     _pass(9, t0, 60, "50 point-mode + 20 lattice instances verified")
 

@@ -1,5 +1,6 @@
 """CLI tests driven through main(argv); exit codes and document shapes."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -17,7 +18,7 @@ from quanthelly.jsonio import (
 )
 from quanthelly.combinat import Family
 from quanthelly.geometry import body_contains_body, convex_hull
-from quanthelly.measures import Measure
+from quanthelly.measures import Measure, certified_ge
 
 
 def box(x0, y0, x1, y1):
@@ -132,8 +133,8 @@ def test_pierce_hypothesis_exit_2(tmp_path, vol_path):
     assert rc == 2
 
 
-def test_pierce_fractional_tau_exit_3(tmp_path, vol_path):
-    # boxes around the edges of a pentagon: tau* = 5/2 cannot be rounded
+def test_pierce_fractional_tau_exit_0(tmp_path, vol_path):
+    # boxes around the edges of a pentagon: tau* = 5/2 rounds to 3 witnesses
     verts = [(10, 0), (3, 10), (-8, 6), (-8, -6), (3, -10)]
     fam = Family(
         tuple(
@@ -143,11 +144,38 @@ def test_pierce_fractional_tau_exit_3(tmp_path, vol_path):
     )
     fp = tmp_path / "pentagon.json"
     dump(family_to_json(fam), fp)
+    out = tmp_path / "cert.json"
     rc = main(
         ["pierce", "--family", str(fp), "--measure", vol_path, "--p", "3",
-         "--q", "2", "--lambda", "1", "--eps", "1/8"]
+         "--q", "2", "--lambda", "1", "--eps", "1/8", "--out", str(out)]
     )
-    assert rc == 3
+    assert rc == 0
+    assert len(load(out)["witnesses"]) == 3
+
+
+@pytest.mark.parametrize(
+    "kind, params, measure, p, eps, digest",
+    [
+        ("clustered-lattice", '{"clusters":3}', "lat", "4", "0",
+         "0f20ee5ac334cbadea4047296b73de7116eb57f17abd7ac3ae052ecda509f986"),
+        ("clustered-volume", '{"clusters":2}', "vol", "3", "1/8",
+         "941680ce4975cb954b3cf0fc7e614a77b60f4dc7d784f0eaa3856eff9322a34a"),
+    ],
+)
+def test_pierce_certificate_bytes_pinned(
+    tmp_path, lat_path, vol_path, kind, params, measure, p, eps, digest
+):
+    # refactors of the piercing pipeline keep these certificates byte-identical
+    fam, out = tmp_path / "fam.json", tmp_path / "cert.json"
+    assert main(["gen", "--kind", kind, "--params", params, "--seed", "7",
+                 "--out", str(fam)]) == 0
+    msr = {"lat": lat_path, "vol": vol_path}[measure]
+    rc = main(
+        ["pierce", "--family", str(fam), "--measure", msr, "--p", p, "--q", "2",
+         "--lambda", "1", "--eps", eps, "--out", str(out)]
+    )
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_helly_check_exit_codes(tmp_path, vol_path, capsys):
@@ -268,6 +296,29 @@ def test_colorful_helly_command(tmp_path, vol_path):
     assert rc == 0
     doc = load(out)
     assert doc["class_index"] in (0, 1, 2)
+    assert doc["transcript"]["omitted"] in (0, 1, 2)
+    witness = body_from_json(doc["witness"])
+    assert certified_ge(Measure.volume(), witness, F(1)) is True
+
+
+def test_colorful_helly_conclusion_fails_exit_4(tmp_path, capsys):
+    classes = [
+        Family((box(0, 0, 1, 10), box(5, 0, 6, 10))),
+        Family((box(-1, 0, 7, 1), box(-1, 8, 7, 9))),
+    ]
+    paths = []
+    for i, cls in enumerate(classes):
+        p = tmp_path / f"class{i}.json"
+        dump(family_to_json(cls), p)
+        paths.append(str(p))
+    ne = tmp_path / "ne.json"
+    dump(measure_to_json(Measure.nonempty()), ne)
+    rc = main(
+        ["colorful-helly", "--classes", *paths, "--measure", str(ne),
+         "--lambda", "1", "--eps", "0", "--v", "1,0"]
+    )
+    assert rc == 4
+    assert "class 0" in capsys.readouterr().err
 
 
 def test_experiment_command_csv(tmp_path):

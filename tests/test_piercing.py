@@ -6,6 +6,7 @@ candidate pool's containment matrix is re-checked exactly.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -24,6 +25,7 @@ from quanthelly.geometry import (
 )
 from quanthelly.measures import Measure, certified_ge, evaluate
 from quanthelly.piercing import (
+    ConclusionError,
     HypothesisError,
     PoolError,
     _shrink_body,
@@ -425,12 +427,18 @@ def test_pq_pierce_transcript_fields():
 
 
 @pytest.mark.parametrize("msr, eps", [(VOL, F(1, 8)), (LAT, F(0)), (NE, F(0))])
-def test_pq_pierce_fractional_tau_is_pool_error(msr, eps):
-    # rounding tau* = 5/2 is out of reach of the net step: a pool error
+def test_pq_pierce_fractional_tau_certified(msr, eps):
+    # tau* = 5/2 rounds to 3 witnesses, each an edge-pair intersection
     fam = pentagon_edge_boxes()
     assert check_pq(fam, 3, 2, msr, F(1)).holds
-    with pytest.raises(PoolError):
-        pq_pierce(fam, 3, 2, msr, F(1), eps)
+    cert = pq_pierce(fam, 3, 2, msr, F(1), eps)
+    assert cert.transcript["tau_star"] == F(5, 2)
+    assert cert.transcript["integral"] is False
+    assert len(cert.witnesses) == 3
+    for fi, wi in enumerate(cert.coverage):
+        assert body_contains_body(fam.members[fi], cert.witnesses[wi])
+    for w in cert.witnesses:
+        assert certified_ge(msr, w, 1 - eps) is True
 
 
 # ------------------------------------------------------- replicate_and_round
@@ -439,9 +447,70 @@ def test_replicate_integral_fast_path():
     fam = three_squares()
     pool = build_pool(fam, VOL, F(1), F(1, 8), 2)
     tau = fractional_transversal(fam, pool)
-    if all(w in (0, 1) for w in tau.x):
-        cert = replicate_and_round(fam, pool, tau, VOL, F(1), F(1, 8))
-        assert len(cert.witnesses) == sum(1 for w in tau.x if w == 1)
+    assert all(w in (0, 1) for w in tau.x)
+    cert = replicate_and_round(fam, pool, tau, VOL)
+    support = [ci for ci in range(len(pool)) if tau.x[ci] == 1]
+    assert cert.witnesses == tuple(pool.candidates[ci] for ci in support)
+    assert cert.transcript["integral"] is True
+
+
+def jittered_cycle_boxes(rng, k):
+    """Boxes around the edges of a jittered pentagon (k = 5) or heptagon
+    (k = 7); neighbours meet, so tau* is often k/2."""
+    verts = {
+        5: [(10, 0), (3, 10), (-8, 6), (-8, -6), (3, -10)],
+        7: [(10, 0), (6, 8), (-2, 10), (-9, 4), (-9, -4), (-2, -10), (6, -8)],
+    }[k]
+    verts = [(x + rng.randint(-1, 1), y + rng.randint(-1, 1)) for x, y in verts]
+    d = rng.randint(1, 2)
+    return [
+        box(min(ax, bx) - d, min(ay, by) - d, max(ax, bx) + d, max(ay, by) + d)
+        for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])
+    ]
+
+
+def oracle_min_cover(pool, n_members):
+    """Fewest pool rows covering every member, by enumeration."""
+    rows = {frozenset(fi for fi in range(n_members) if r[fi]) for r in pool.matrix}
+    for k in range(1, n_members + 1):
+        for pick in itertools.combinations(rows, k):
+            if len(frozenset().union(*pick)) == n_members:
+                return k
+    raise AssertionError("the pool covers no family")
+
+
+@pytest.mark.parametrize("msr", [VOL, LAT])
+def test_cover_step_against_min_cover_oracle(msr):
+    rng = random.Random(11)
+    families = []
+    for _ in range(10):
+        mems = []
+        for _ in range(rng.randint(2, 7)):
+            x, y = rng.randint(0, 6), rng.randint(0, 6)
+            w, h = rng.randint(2, 5), rng.randint(2, 5)
+            mems.append(box(x, y, x + w, y + h))
+        families.append(mems)
+    for _ in range(8):
+        families.append(jittered_cycle_boxes(rng, rng.choice((5, 7))))
+    fractional = 0
+    for mems in families:
+        fam = Family(tuple(mems))
+        try:
+            pool = build_pool(fam, msr, F(1), F(0), min(len(fam), 3))
+            tau = fractional_transversal(fam, pool)
+        except PoolError:
+            continue
+        cert = replicate_and_round(fam, pool, tau, msr)
+        cover = len(cert.witnesses)
+        d = max(sum(row) for row in pool.matrix)
+        harmonic = sum(F(1, i) for i in range(1, d + 1))
+        oracle = oracle_min_cover(pool, len(fam))
+        assert math.ceil(tau.objective) <= oracle <= cover <= harmonic * tau.objective
+        if all(w in (0, 1) for w in tau.x):
+            assert cover == tau.objective
+        else:
+            fractional += 1
+    assert fractional >= 3
 
 
 # ---------------------------------------------------------- fractional Helly
@@ -546,6 +615,7 @@ def test_colorful_helly_classic():
     cls = [c0, c1, c2][res.class_index]
     full = intersect(list(cls.members))
     assert body_contains_body(full, res.witness)
+    assert certified_ge(VOL, res.witness, F(1)) is True
 
 
 def test_colorful_helly_discrete():
@@ -563,6 +633,57 @@ def test_colorful_helly_discrete():
     full = intersect(list(classes[res.class_index].members))
     assert body_contains_body(full, res.witness)
     assert evaluate(LAT, res.witness).exact_value >= 1
+    assert certified_ge(LAT, res.witness, F(1)) is True
+
+
+@pytest.mark.parametrize(
+    "msr, lam, eps", [(VOL, F(1), F(1, 8)), (Measure.perimeter(), F(4), F(1, 16))]
+)
+def test_colorful_helly_core_boxes(msr, lam, eps):
+    # boxes around a common core; the containment-maximal cut body sticks
+    # out of the class it leaves out, but that class's intersection certifies
+    classes = [
+        Family((
+            box(F(1, 4), F(5, 2), F(19, 4), 4),
+            box(F(7, 4), F(3, 4), F(21, 4), F(17, 4)),
+        )),
+        Family((
+            box(F(1, 2), F(9, 4), 6, F(17, 4)),
+            box(2, 1, F(19, 4), F(9, 2)),
+        )),
+        Family((
+            box(F(3, 2), 2, F(11, 2), F(15, 4)),
+            box(F(3, 2), 2, F(23, 4), 4),
+        )),
+    ]
+    res = colorful_helly(classes, msr, lam, eps, (1, 0))
+    assert res.class_index == res.transcript["omitted"]
+    cls = classes[res.class_index]
+    assert res.witness == intersect(list(cls.members))
+    for member in cls.members:
+        assert body_contains_body(member, res.witness)
+    assert certified_ge(msr, res.witness, (1 - eps) * lam) is True
+
+
+def test_colorful_helly_tries_the_other_classes():
+    # the cut argument leaves out class 0, whose members meet in a segment;
+    # class 1 certifies and is returned
+    c0 = Family((box(0, 1, 4, 5), box(4, 3, 8, 8)))
+    c1 = Family((box(3, 3, 6, 5),))
+    res = colorful_helly([c0, c1], VOL, F(2), F(0), (0, -1))
+    assert res.transcript["omitted"] == 0
+    assert res.class_index == 1
+    assert res.witness == box(3, 3, 6, 5)
+    assert certified_ge(VOL, res.witness, F(2)) is True
+
+
+def test_colorful_helly_crossing_strips_conclusion_fails():
+    # every vertical strip meets every horizontal one, but neither class
+    # has a common point
+    vertical = Family((box(0, 0, 1, 10), box(5, 0, 6, 10)))
+    horizontal = Family((box(-1, 0, 7, 1), box(-1, 8, 7, 9)))
+    with pytest.raises(ConclusionError, match="class 0.*class 1|class 1.*class 0"):
+        colorful_helly([vertical, horizontal], NE, F(1), F(0), (1, 0))
 
 
 def test_colorful_helly_hypothesis_failure():
