@@ -1,10 +1,11 @@
 """Piercing families of large convex sets through exact LP duality.
 
 The pipeline: build a finite candidate pool from subfamily intersections and
-their floating-body shrinks, solve the fractional transversal and packing
-programs exactly (their optima must coincide), and round the transversal to
-a greedy cover of the family by the candidates of positive weight.  Every
-certificate is re-verified by exact containment and certified measure bounds.
+their floating-body shrinks, solve one covering program per pool exactly (the
+fractional transversal; nu* and the packing weights are its certified duals),
+and round the transversal to a greedy cover of the family by the candidates of
+positive weight.  Every certificate is re-verified by exact containment and
+certified measure bounds.
 
 Also here: the fractional Helly witness construction (directional cuts of
 (h-1)-tuple intersections, containment-maximal assignment), its colorful
@@ -54,7 +55,15 @@ class HypothesisError(PiercingError):
 
 
 class PoolError(PiercingError):
-    """The candidate pool or its budgets cannot support the run (exit code 3)."""
+    """The candidate pool or its budgets cannot support the run (exit code 3).
+
+    stage ("pool", "lp", "round" or "certify") and indices say where it gave up.
+    """
+
+    def __init__(self, message, stage=None, indices=()):
+        super().__init__(message)
+        self.stage = stage
+        self.indices = tuple(indices)
 
 
 class ConclusionError(PiercingError):
@@ -127,10 +136,10 @@ def build_pool(
     lam = Fraction(lam)
     eps = Fraction(eps)
     if s_max < 1:
-        raise PoolError("s_max must be at least 1")
+        raise PoolError("s_max must be at least 1", "pool")
     n = len(F)
     if n > MAX_FAMILY:
-        raise PoolError(f"family size {n} exceeds the cap {MAX_FAMILY}")
+        raise PoolError(f"family size {n} exceeds the cap {MAX_FAMILY}", "pool")
 
     bodies = []
     provenance = []
@@ -173,7 +182,7 @@ def build_pool(
                 provenance.append((A, flag))
                 thresholds.append(floor_)
             if len(bodies) > max_pool:
-                raise PoolError(f"candidate pool exceeded {max_pool} entries")
+                raise PoolError(f"candidate pool exceeded {max_pool} entries", "pool", A)
         alive = level
 
     matrix = tuple(
@@ -188,50 +197,40 @@ def build_pool(
     )
 
 
-# -- the two fractional programs ----------------------------------------------
+# -- the covering program and its duals ----------------------------------------
 
 
 def fractional_transversal(F: Family, pool: CandidatePool) -> LPSolution:
-    """min sum w(C) with every member covered by total candidate weight >= 1."""
+    """min sum w(C) over w >= 0 with every member covered by weight >= 1.
+
+    No w <= 1 rows: lowering a weight above 1 to 1 covers the same members for
+    less.  lp.solve verifies the duals as an optimal packing (max sum y(F), y >= 0,
+    each candidate's members weighing <= 1), so nu* = sum(duals) = tau*.
+    """
     n_c = len(pool)
     n_f = len(F)
     if n_c == 0:
-        raise PoolError("empty candidate pool")
+        raise PoolError("empty candidate pool", "lp")
     for fi in range(n_f):
         if not pool.covering(fi):
-            raise PoolError(f"family member {fi} contains no pool candidate")
-    rows, senses, rhs = [], [], []
-    for fi in range(n_f):
-        rows.append([1 if pool.matrix[ci][fi] else 0 for ci in range(n_c)])
-        senses.append(">=")
-        rhs.append(1)
-    for ci in range(n_c):
-        rows.append([1 if j == ci else 0 for j in range(n_c)])
-        senses.append("<=")
-        rhs.append(1)
-    sol = solve([1] * n_c, rows, senses, rhs, maximize=False)
+            raise PoolError(f"family member {fi} contains no pool candidate", "lp", (fi,))
+    rows = [[1 if pool.matrix[ci][fi] else 0 for ci in range(n_c)] for fi in range(n_f)]
+    sol = solve([1] * n_c, rows, [">="] * n_f, [1] * n_f)
     if sol.status != "optimal":
-        raise PoolError(f"transversal program ended {sol.status}")
+        raise PoolError(f"transversal program ended {sol.status}", "lp")
     return sol
 
 
 def fractional_packing(F: Family, pool: CandidatePool) -> LPSolution:
-    """max sum w(F) with every candidate's containing members weighing <= 1."""
-    n_c = len(pool)
-    n_f = len(F)
-    rows, senses, rhs = [], [], []
-    for ci in range(n_c):
-        rows.append([1 if pool.matrix[ci][fi] else 0 for fi in range(n_f)])
-        senses.append("<=")
-        rhs.append(1)
-    for fi in range(n_f):
-        rows.append([1 if j == fi else 0 for j in range(n_f)])
-        senses.append("<=")
-        rhs.append(1)
-    sol = solve([1] * n_f, rows, senses, rhs, maximize=True)
-    if sol.status != "optimal":
-        raise PoolError(f"packing program ended {sol.status}")
-    return sol
+    """The maximum fractional packing, as a view of the transversal's duals.
+
+    Solves the one covering program and returns its certified duals as x (the
+    member weights), their sum nu* as objective and the transversal weights as
+    duals.  pq_pierce reads tau.duals itself and does not call this; it stays
+    because it is public API and the benchmark tracer binds it by name.
+    """
+    tau = fractional_transversal(F, pool)
+    return LPSolution("optimal", sum(tau.duals), tau.duals, tau.x, None)
 
 
 # -- (p,q) hypothesis ----------------------------------------------------------
@@ -327,7 +326,7 @@ def _assemble(F: Family, msr: Measure, witnesses, transcript) -> PiercingCertifi
         if wi is None:
             raise PoolError(
                 f"member {fi} contains no witness; the pool or direction set "
-                "is too coarse (raise s_max or refine directions)"
+                "is too coarse (raise s_max or refine directions)", "round", (fi,),
             )
         coverage.append(wi)
     values = tuple(evaluate(msr, w) for w in witnesses)
@@ -348,7 +347,7 @@ def pq_pierce(
     eps,
     s_max: int | None = None,
 ) -> PiercingCertificate:
-    """End-to-end piercing: hypothesis check, pool, exact LP duality, rounding.
+    """End-to-end piercing: hypothesis check, pool, one covering LP, rounding.
 
     Thresholds split as lam and shrink level gamma*eps with gamma fixed at
     1/2 (recorded in the transcript), so the final witnesses certify measure
@@ -370,18 +369,13 @@ def pq_pierce(
     shrink = GAMMA * eps
     pool = build_pool(F, msr, lam, shrink, s_max)
     tau = fractional_transversal(F, pool)
-    nu = fractional_packing(F, pool)
-    if tau.objective != nu.objective:
-        raise PiercingError(
-            f"duality broke: tau* = {tau.objective} != nu* = {nu.objective}"
-        )
     cert = replicate_and_round(F, pool, tau, msr)
     floor_ = (1 - eps) * lam
     for wi, w in enumerate(cert.witnesses):
         if certified_ge(msr, w, floor_) is not True:
             raise PoolError(
                 f"witness {wi} cannot certify measure >= {floor_}; "
-                "raise s_max or refine the shrink directions"
+                "raise s_max or refine the shrink directions", "certify", (wi,),
             )
     transcript = dict(cert.transcript)
     transcript.update(
@@ -393,7 +387,7 @@ def pq_pierce(
             "gamma": GAMMA,
             "s_max": s_max,
             "pool_size": len(pool),
-            "nu_star": nu.objective,
+            "nu_star": sum(tau.duals),
             "pq_exhaustive": pq.exhaustive,
             "pool_limited": s_max < len(F),
         }

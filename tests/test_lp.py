@@ -203,6 +203,30 @@ def test_optimal_solutions_are_feasible(c, rows):
             assert sum(a * x for a, x in zip(r, sol.x)) <= b
 
 
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_covering_duals_are_an_optimal_packing(rows):
+    # min 1.x, Ax >= 1 over a 0/1 matrix whose every row holds a 1: the duals
+    # are the packing max 1.y, A^T y <= 1, y >= 0, solved here by the oracle
+    m, n = len(rows), len(rows[0])
+    sol = solve(c=[1] * n, rows=rows, senses=[">="] * m, rhs=[1] * m)
+    assert sol.status == "optimal"
+    y = sol.duals
+    assert all(v >= 0 for v in y)
+    for j in range(n):
+        assert sum(y[i] * rows[i][j] for i in range(m)) <= 1
+    columns = [[rows[i][j] for i in range(m)] for j in range(n)]
+    packing = oracle_best_vertex([1] * m, columns, [1] * n, maximize=True)
+    assert sum(y) == packing == sol.objective
+
+
 def test_verify_rejects_tampered_solution():
     # _verify checks the internal minimization; this program is already one
     from dataclasses import replace

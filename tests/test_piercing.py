@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quanthelly import piercing
+from quanthelly import lp, piercing
 from quanthelly.combinat import Family
 from quanthelly.geometry import (
     ConvexBody,
@@ -23,10 +23,12 @@ from quanthelly.geometry import (
     convex_hull,
     intersect,
 )
+from quanthelly.lp import LPSolution
 from quanthelly.measures import Measure, certified_ge, evaluate
 from quanthelly.piercing import (
     ConclusionError,
     HypothesisError,
+    PiercingCertificate,
     PoolError,
     _shrink_body,
     build_pool,
@@ -294,8 +296,37 @@ def test_single_body_tau_one():
     assert tau.objective == 1
 
 
-def test_duality_on_random_families():
-    rng = random.Random(5)
+def former_programs(fam, pool):
+    """The transversal with its w <= 1 rows and the packing with its y <= 1
+    rows, each solved on its own."""
+    n_c, n_f = len(pool), len(fam)
+
+    def unit(n, i):
+        return [1 if j == i else 0 for j in range(n)]
+
+    cover = [[int(pool.matrix[ci][fi]) for ci in range(n_c)] for fi in range(n_f)]
+    tau = lp.solve(
+        [1] * n_c,
+        cover + [unit(n_c, ci) for ci in range(n_c)],
+        [">="] * n_f + ["<="] * n_c,
+        [1] * (n_f + n_c),
+    )
+    loads = [[int(pool.matrix[ci][fi]) for fi in range(n_f)] for ci in range(n_c)]
+    nu = lp.solve(
+        [1] * n_f,
+        loads + [unit(n_f, fi) for fi in range(n_f)],
+        ["<="] * (n_c + n_f),
+        [1] * (n_c + n_f),
+        maximize=True,
+    )
+    return tau, nu
+
+
+def duality_families(rng):
+    """25 random box families, then the three squares and the pentagon.
+
+    Lazy, so the caller's draws from rng between families keep their order.
+    """
     for _ in range(25):
         mems = []
         for _ in range(rng.randint(2, 5)):
@@ -304,7 +335,15 @@ def test_duality_on_random_families():
             w = rng.randint(2, 5)
             h = rng.randint(2, 5)
             mems.append(box(x, y, x + w, y + h))
-        fam = Family(tuple(mems))
+        yield Family(tuple(mems))
+    yield three_squares()
+    yield pentagon_edge_boxes()
+
+
+def test_duality_on_random_families():
+    rng = random.Random(5)
+    optima = set()
+    for fam in duality_families(rng):
         try:
             pool = build_pool(fam, VOL, F(1), F(0), min(len(fam), 3))
             tau = fractional_transversal(fam, pool)
@@ -312,6 +351,16 @@ def test_duality_on_random_families():
             continue
         nu = fractional_packing(fam, pool)
         assert tau.objective == nu.objective
+        # the dual read-out against both former programs, each with its
+        # w <= 1 or y <= 1 rows and solved on its own
+        old_tau, old_nu = former_programs(fam, pool)
+        assert nu.objective == sum(tau.duals) == old_tau.objective == old_nu.objective
+        assert nu.x == tau.duals
+        assert all(0 <= y <= 1 for y in nu.x)
+        for ci in range(len(pool.candidates)):
+            assert sum(y for y, hit in zip(nu.x, pool.matrix[ci]) if hit) <= 1
+        assert all(0 <= w <= 1 for w in tau.x)  # no w <= 1 rows needed
+        optima.add(tau.objective)
         # transversal solution must actually cover every member
         for fi in range(len(fam)):
             covered = sum(
@@ -329,14 +378,86 @@ def test_duality_on_random_families():
             )
             if feasible:
                 assert sum(w) <= tau.objective
+    assert {2, F(5, 2)} <= optima
 
 
 def test_transversal_uncoverable_member_raises():
     # second member shares nothing with anyone and itself fails the bar
     fam = Family((box(0, 0, 2, 2), box(10, 10, F(21, 2), F(21, 2))))
-    with pytest.raises(PoolError, match="1"):
+    with pytest.raises(PoolError, match="1") as info:
         pool = build_pool(fam, VOL, F(1), F(1, 8), 2)
         fractional_transversal(fam, pool)
+    assert info.value.stage == "lp"
+    assert info.value.indices == (1,)
+
+
+def lattice_cluster_family(sizes, rng):
+    """Rectangles reaching less than 1 past the lattice point (3j, 0) of
+    their cluster j: any len(sizes) + 1 members hold two that share it."""
+    mems = []
+    for j, per in enumerate(sizes):
+        for _ in range(per):
+            a, b, c, d = (F(rng.randint(1, 7), 8) for _ in range(4))
+            mems.append(box(3 * j - a, -c, 3 * j + b, d))
+    return Family(tuple(mems))
+
+
+@pytest.mark.parametrize(
+    "fam, p, msr, eps",
+    [
+        (three_squares(), 3, VOL, F(1, 8)),
+        (pentagon_edge_boxes(), 3, VOL, F(1, 8)),
+        (lattice_cluster_family((2, 2, 2), random.Random(3)), 4, LAT, F(0)),
+    ],
+    ids=["three-squares", "pentagon", "lattice-2+2+2"],
+)
+def test_pq_pierce_solves_one_lp(monkeypatch, fam, p, msr, eps):
+    rows_per_call = []
+    real = piercing.solve
+
+    def counted(c, rows, *args, **kwargs):
+        rows_per_call.append(len(rows))
+        return real(c, rows, *args, **kwargs)
+
+    monkeypatch.setattr(piercing, "solve", counted)
+    cert = pq_pierce(fam, p, 2, msr, F(1), eps)
+    assert rows_per_call == [len(fam)]  # one program, the covering rows only
+    assert cert.transcript["nu_star"] == cert.transcript["tau_star"]
+
+
+def test_pool_cap_error_names_stage_and_subset():
+    with pytest.raises(PoolError, match="exceeded 1 entries") as info:
+        build_pool(three_squares(), VOL, F(1), F(1, 8), 2, max_pool=1)
+    assert info.value.stage == "pool"
+    assert info.value.indices == (0,)  # member 0 and its shrink overflow
+
+
+def test_witnessless_member_error_names_stage_and_member():
+    fam = three_squares()
+    pool = build_pool(fam, VOL, F(1), F(1, 8), 2)
+    # all weight on member 0 itself, which lies in no other member
+    only = pool.provenance.index(((0,), False))
+    x = tuple(F(int(ci == only)) for ci in range(len(pool)))
+    sol = LPSolution("optimal", F(1), x, None, None)
+    with pytest.raises(PoolError, match="member 1 contains no witness") as info:
+        replicate_and_round(fam, pool, sol, VOL)
+    assert info.value.stage == "round"
+    assert info.value.indices == (1,)
+
+
+def test_uncertified_witness_error_names_stage_and_witness(monkeypatch):
+    rounded = piercing.replicate_and_round
+
+    def tiny_second_witness(*args):
+        cert = rounded(*args)
+        witnesses = (cert.witnesses[0], box(1, 0, F(5, 4), F(1, 4)))
+        return PiercingCertificate(witnesses, cert.coverage, cert.values)
+
+    monkeypatch.setattr(piercing, "replicate_and_round", tiny_second_witness)
+    with pytest.raises(PoolError, match="witness 1 cannot certify") as info:
+        pq_pierce(three_squares(), 3, 2, VOL, F(1), F(1, 8))
+    assert info.value.stage == "certify"
+    assert info.value.indices == (1,)
 
 
 # --------------------------------------------------------------------- check_pq
@@ -432,7 +553,7 @@ def test_pq_pierce_fractional_tau_certified(msr, eps):
     fam = pentagon_edge_boxes()
     assert check_pq(fam, 3, 2, msr, F(1)).holds
     cert = pq_pierce(fam, 3, 2, msr, F(1), eps)
-    assert cert.transcript["tau_star"] == F(5, 2)
+    assert cert.transcript["tau_star"] == cert.transcript["nu_star"] == F(5, 2)
     assert cert.transcript["integral"] is False
     assert len(cert.witnesses) == 3
     for fi, wi in enumerate(cert.coverage):
