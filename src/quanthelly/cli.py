@@ -349,7 +349,8 @@ def main(argv=None) -> int:
         print(f"hypothesis violated: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except PoolError as e:
-        print(f"pool insufficient: {e}", file=sys.stderr)
+        where = f" (stage {e.stage}, indices {e.indices})" if e.stage else ""
+        print(f"pool insufficient{where}: {e}", file=sys.stderr)
         return EXIT_POOL
     except ConclusionError as e:
         print(f"conclusion fails: {e}", file=sys.stderr)

@@ -23,6 +23,8 @@ from .geometry import (
     contains,
     convex_hull,
     dot,
+    in_hull,
+    in_triangle,
     intersect,
     point,
     segment_intersection,
@@ -326,9 +328,14 @@ def _tverberg_points(T: Family, m: int) -> TverbergResult:
 
 
 def _tverberg_candidates(pts):
-    """Candidate witness points with their pre-assigned parts, deterministic order."""
+    """Candidate witness points with their pre-assigned parts, deterministic order.
+
+    The input points come first; the segment crossings are computed only
+    once the caller asks past them.
+    """
     n = len(pts)
-    singles = [(pts[i], ((i,),)) for i in range(n)]
+    for i in range(n):
+        yield pts[i], ((i,),)
     crossings = []
     for (i, j) in itertools.combinations(range(n), 2):
         for (k, l) in itertools.combinations(range(n), 2):
@@ -337,10 +344,7 @@ def _tverberg_candidates(pts):
             x = segment_intersection(pts[i], pts[j], pts[k], pts[l])
             if x is not None:
                 crossings.append((x, ((i, j), (k, l))))
-    for item in singles:
-        yield item
-    for item in sorted(crossings, key=lambda it: (it[0], it[1])):
-        yield item
+    yield from sorted(crossings, key=lambda it: (it[0], it[1]))
 
 
 def _pack_parts(pts, avail, x, r):
@@ -350,12 +354,10 @@ def _pack_parts(pts, avail, x, r):
     if len(avail) < 3 * (r - 1) + 1:
         return None
     if r == 1:
-        hull = ConvexBody.from_points([pts[i] for i in avail])
-        return [list(avail)] if contains(hull, x) else None
+        return [list(avail)] if in_hull([pts[i] for i in avail], x) else None
     p = avail[0]
     for q, s in itertools.combinations(avail[1:], 2):
-        tri = ConvexBody.from_points([pts[p], pts[q], pts[s]])
-        if contains(tri, x):
+        if in_triangle(pts[p], pts[q], pts[s], x):
             rest = [i for i in avail if i not in (p, q, s)]
             sub_parts = _pack_parts(pts, rest, x, r - 1)
             if sub_parts is not None:
@@ -493,8 +495,8 @@ def selection(
 
     Runs a Tverberg partition, then collects r-tuples two ways: rainbow
     choices over r-subsets of the parts (via colorful Caratheodory), and an
-    exhaustive sweep over all r-subsets of members when affordable.  Every
-    reported tuple is re-verified exactly.
+    exhaustive sweep over all r-subsets of members when affordable.  Each
+    tuple is verified exactly, once, when it is found.
     """
     eps = Fraction(eps)
     n = len(T)
@@ -528,8 +530,11 @@ def selection(
             for j, pt in zip(color_choice, picked):
                 owner = next(i for i in tv.partition[j] if contains(T.members[i], pt))
                 members.append(owner)
-            if len(set(members)) == r:
-                found.add(tuple(sorted(members)))
+            combo = tuple(sorted(members))
+            if len(set(combo)) < r or combo in found:
+                continue
+            if body_contains_body(T.union_hull(combo), witness):
+                found.add(combo)
 
     exhaustive = math.comb(n, r) <= SCAN_BUDGET
     if exhaustive:
@@ -539,13 +544,10 @@ def selection(
             if body_contains_body(T.union_hull(combo), witness):
                 found.add(combo)
 
-    verified = tuple(
-        sorted(c for c in found if body_contains_body(T.union_hull(c), witness))
-    )
-    rho = Fraction(len(verified), math.comb(n, r))
+    rho = Fraction(len(found), math.comb(n, r))
     return SelectionResult(
         witness=witness,
-        tuples=verified,
+        tuples=tuple(sorted(found)),
         r=r,
         rho_achieved=rho,
         exhaustive=exhaustive,

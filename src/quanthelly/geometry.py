@@ -8,6 +8,11 @@ by halfspaces support containment and further intersection.
 
 2D bodies are kept canonical (vertices counterclockwise starting at the
 lexicographic minimum) so equality is decidable by comparison.
+
+In 2D, containment reuses an H-representation but never builds one to
+test a point: a body known by its vertices alone is tested by the signs of
+`orient2` over its ring.  Normalized halfspaces (`Halfspace.make`) are
+built where halfspaces are compared or clipped by.
 """
 
 from __future__ import annotations
@@ -663,14 +668,56 @@ def convex_hull(points) -> ConvexBody:
     return ConvexBody.from_points(points)
 
 
+def _ring_contains(ring, p: Point) -> bool:
+    """Whether p lies in a canonical 2D ring (polygon, segment or point).
+
+    A polygon holds p when p is on no edge's clockwise side; a segment when
+    p is collinear with it and lexicographically between its endpoints.
+    """
+    if len(ring) >= 3:
+        return all(orient2(a, b, p) >= 0 for a, b in zip(ring, ring[1:] + ring[:1]))
+    if len(ring) == 2:
+        a, b = ring
+        return orient2(a, b, p) == 0 and a <= p <= b
+    return p == ring[0]
+
+
 def contains(body: ConvexBody, p: Point) -> bool:
-    """Exact membership test via the H-representation."""
+    """Exact membership test.
+
+    A body that carries an H-representation is tested against it.  A 2D
+    body known only by its vertices is tested by orientation signs over its
+    ring: no halfspace is built just to test a point.
+    """
     p = tuple(Fraction(c) for c in p)
     if len(p) != body.dim:
         raise GeometryError("point dimension mismatch")
     if body.is_empty:
         return False
+    if body._halfspaces is None and body.dim == 2:
+        return _ring_contains(body._vertices, p)
     return all(h.contains(p) for h in body.halfspaces)
+
+
+def in_hull(points, p: Point) -> bool:
+    """Exact test of p in conv(points); in 2D by orientation signs, building no body."""
+    if len(p) == 2:
+        return _ring_contains(_hull2(points), p)
+    return contains(convex_hull(points), p)
+
+
+def in_triangle(a: Point, b: Point, c: Point, p: Point) -> bool:
+    """Exact test of p in the closed triangle abc, in either orientation.
+
+    A collinear (or repeated-vertex) triangle is tested as the hull of its
+    vertices, as is any triangle outside 2D.
+    """
+    o = orient2(a, b, c) if len(p) == 2 else 0
+    if o == 0:
+        return in_hull((a, b, c), p)
+    if o < 0:
+        b, c = c, b
+    return orient2(a, b, p) >= 0 and orient2(b, c, p) >= 0 and orient2(c, a, p) >= 0
 
 
 def body_contains_body(outer: ConvexBody, inner: ConvexBody) -> bool:

@@ -178,6 +178,52 @@ def test_pierce_certificate_bytes_pinned(
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_pierce_pool_error_prints_stage_and_indices(tmp_path, vol_path, capsys):
+    # member 1 is below lambda and meets no other member: no candidate lies in it
+    fam = Family((box(0, 0, 2, 2), box(10, 10, F(21, 2), F(21, 2))))
+    fp = tmp_path / "lone.json"
+    dump(family_to_json(fam), fp)
+    base = ["pierce", "--family", str(fp), "--measure", vol_path, "--p", "2",
+            "--q", "1", "--lambda", "1", "--eps", "1/8"]
+    assert main(base) == 3
+    err = capsys.readouterr().err
+    assert err == ("pool insufficient (stage lp, indices (1,)): "
+                   "family member 1 contains no pool candidate\n")
+    assert main(base + ["--smax", "0"]) == 3
+    assert "pool insufficient (stage pool, indices ()): s_max" in capsys.readouterr().err
+
+
+POINT_CLOUDS = {9: 5, 4: 2}  # points -> generator seed
+
+
+@pytest.mark.parametrize(
+    "n, argv, digest",
+    [
+        (9, ["tverberg", "--parts", "3"],
+         "495d20a2e8adb38ae2f5941217dcbf2e0178ca40c7c6dc2174569e4b75c306b6"),
+        (9, ["net"],
+         "753c966061bb83b28d04be44b3764356a1c0e03806916d7f2acc085ce7ef8ba6"),
+        (9, ["selection"],
+         "b1e03c3fcae382f4e16b105cbd932e6777cd8839027bd310d87c0746c501ca9a"),
+        (4, ["tverberg", "--parts", "2"],
+         "5c3fe6a8450be2d8eb6b21a891accf9af3d7551a5218ed927706c60e1005d93f"),
+        (4, ["net", "--epsp", "3/4"],
+         "55630f8270b7287b065ccac9d680b04eeda079d064b6c4f16c83fcb390d06bcb"),
+        (4, ["selection"],
+         "e610dffb22916eead175860aeb7fba439d9e262e5daad13f684185b8f9d2b7e4"),
+    ],
+)
+def test_point_commands_bytes_pinned(tmp_path, n, argv, digest):
+    # refactors of the weak-net/selection/Tverberg path keep these outputs
+    # byte-identical (the 4-point cloud is in convex position: its Tverberg
+    # witness is a segment crossing)
+    fam, out = tmp_path / "pts.json", tmp_path / "out.json"
+    assert main(["gen", "--kind", "point-cloud", "--params", f'{{"n": {n}}}',
+                 "--seed", str(POINT_CLOUDS[n]), "--out", str(fam)]) == 0
+    assert main(argv[:1] + ["--family", str(fam)] + argv[1:] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_helly_check_exit_codes(tmp_path, vol_path, capsys):
     rc = main(["gen", "--kind", "bkp-counterexample", "--out", str(tmp_path / "bkp.json")])
     assert rc == 0

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quanthelly import combinat
 from quanthelly.combinat import (
     CombinatError,
     Family,
@@ -245,6 +246,41 @@ def test_tverberg_matches_bruteforce_solvability():
         assert oracle_tverberg(pts, 2) is not None
         for part in res.partition:
             assert body_contains_body(fam.union_hull(part), res.witness)
+
+
+def test_pack_parts_builds_no_body(monkeypatch):
+    built = []
+    plain = ConvexBody.from_points
+
+    def counting(points):
+        built.append(points)
+        return plain(points)
+
+    monkeypatch.setattr(ConvexBody, "from_points", staticmethod(counting))
+    pts = [(0, 0), (6, 0), (3, 6), (3, 2), (1, 1), (5, 1), (3, 4), (2, 5), (4, 5), (3, 0)]
+    pts = [tuple(F(c) for c in p) for p in pts]
+    x = (F(3), F(2))
+    parts = combinat._pack_parts(pts, [i for i in range(len(pts)) if i != 3], x, 3)
+    assert parts is not None and len(parts) == 3
+    for part in parts:
+        assert contains(plain([pts[i] for i in part]), x)
+    assert built == []
+
+
+def test_tverberg_single_point_computes_no_crossing(monkeypatch):
+    calls = []
+    plain = combinat.segment_intersection
+
+    def counting(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(combinat, "segment_intersection", counting)
+    fam = Family.from_points([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
+    res = tverberg_partition(fam, 2, NE)
+    assert res.witness.vertices == ((F(1), F(1)),)
+    assert res.partition == ((4,), (0, 1, 2, 3))
+    assert calls == []
 
 
 def test_tverberg_too_few_points():

@@ -7,7 +7,7 @@ shoelace over explicit rings, halfspace clipping by full re-enumeration.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quanthelly.geometry import (
@@ -18,6 +18,8 @@ from quanthelly.geometry import (
     clip,
     contains,
     convex_hull,
+    in_hull,
+    in_triangle,
     intersect,
     orient2,
     point,
@@ -352,3 +354,77 @@ def test_volume3_nonnegative_and_zero_iff_flat(points):
     vol = polytope_volume(b)
     assert vol >= 0
     assert (vol > 0) == b.is_full_dim
+
+
+# ------------------------------------------- containment by orientation signs
+
+half = st.integers(-12, 12).map(lambda k: F(k, 2))
+pt_half = st.tuples(half, half)
+step = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda v: v != (0, 0))
+
+
+@st.composite
+def vertex_body_points(draw):
+    """Points whose hull is a point, a vertical or sloped segment, a
+    collinear cloud or a polygon, all in halves; plus query points on and
+    around it (vertices, edge midpoints, the supporting line beyond the ends)."""
+    kind = draw(st.sampled_from(["point", "vertical", "sloped", "collinear", "polygon"]))
+    if kind == "point":
+        pts = [draw(pt_half)]
+    elif kind == "vertical":
+        x = draw(half)
+        pts = [(x, draw(half)), (x, draw(half))]
+    elif kind in ("sloped", "collinear"):
+        a, d = draw(pt_half), draw(step)
+        ts = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=2 if kind == "sloped" else 6))
+        pts = [(a[0] + t * d[0], a[1] + t * d[1]) for t in ts]
+    else:
+        pts = draw(st.lists(pt_half, min_size=3, max_size=8))
+    ring = sorted(set(pts))
+    queries = list(ring)
+    queries += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in zip(ring, ring[1:])]
+    if len(ring) >= 2:
+        a, b = ring[0], ring[-1]
+        queries += [(2 * a[0] - b[0], 2 * a[1] - b[1]), (2 * b[0] - a[0], 2 * b[1] - a[1])]
+    queries += draw(st.lists(pt_half, min_size=1, max_size=6))
+    return pts, queries
+
+
+@given(vertex_body_points())
+@example(([(F(1), F(1))], [(F(1), F(1)), (F(1), F(2))]))
+@example(([(F(0), F(0)), (F(0), F(3))], [(F(0), F(-1)), (F(0), F(2)), (F(1), F(2))]))
+def test_contains_agrees_with_halfspace_oracle(case):
+    pts, queries = case
+    fresh = convex_hull(pts)
+    got = [contains(fresh, q) for q in queries]
+    assert fresh._halfspaces is None  # tested by orientation signs, none built
+    cached = convex_hull(pts)
+    want = [all(h.contains(point(*q)) for h in cached.halfspaces) for q in queries]
+    assert got == want
+    # the same body with its H-representation cached is tested against it
+    assert [contains(cached, q) for q in queries] == want
+
+
+grid = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda q: point(*q))
+
+
+@given(grid, grid, grid, grid)
+@example((F(0), F(0)), (F(0), F(0)), (F(0), F(0)), (F(0), F(0)))
+@example((F(0), F(0)), (F(0), F(0)), (F(0), F(0)), (F(0), F(1)))
+@example((F(0), F(0)), (F(2), F(2)), (F(0), F(0)), (F(1), F(1)))
+@example((F(0), F(0)), (F(2), F(2)), (F(1), F(1)), (F(3), F(3)))
+@example((F(0), F(0)), (F(2), F(0)), (F(0), F(2)), (F(1), F(1)))
+@example((F(0), F(0)), (F(0), F(2)), (F(2), F(0)), (F(1), F(1)))
+def test_in_triangle_agrees_with_hull_oracle(a, b, c, p):
+    hull = convex_hull([a, b, c])
+    want = all(h.contains(p) for h in hull.halfspaces)
+    assert in_triangle(a, b, c, p) == want
+    assert in_triangle(c, b, a, p) == want
+    assert in_hull([a, b, c], p) == want
+
+
+def test_in_triangle_3d_uses_the_hull():
+    a, b, c = point(0, 0, 0), point(2, 0, 0), point(0, 2, 0)
+    assert in_triangle(a, b, c, point(1, 1, 0))
+    assert not in_triangle(a, b, c, point(1, 1, 1))
+    assert not in_triangle(a, b, c, point(2, 2, 0))
